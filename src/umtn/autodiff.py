@@ -44,7 +44,7 @@ class Tensor:
         self.values = np.asarray(values, dtype=float)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
+        self._parents: tuple[Tensor, ...] | None = ()  # None once backward consumed it
         self._backward_fn: Callable | None = None
 
     @property
@@ -123,10 +123,14 @@ def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
+    # A constant operand (Phi, G, the fit matrix) gets no gradient product.
     return _record(
         a.values @ b.values,
         (a, b),
-        lambda g: (g @ b.values.T, a.values.T @ g),
+        lambda g: (
+            g @ b.values.T if a.requires_grad else None,
+            a.values.T @ g if b.requires_grad else None,
+        ),
     )
 
 
@@ -148,23 +152,6 @@ def concat(parts: Sequence) -> Tensor:
     return _record(np.concatenate([p.values for p in parts], axis=-1), tuple(parts), backward)
 
 
-def slice_last(x, start: int, stop: int) -> Tensor:
-    """Take columns [start, stop) of the last axis."""
-    x = _as_tensor(x)
-    if x.values.ndim == 0:
-        raise ValueError("slice_last: operand has no axes")
-    width = x.shape[-1]
-    if not (0 <= start < stop <= width):
-        raise ValueError(f"slice_last: window [{start}, {stop}) invalid for width {width}")
-
-    def backward(g):
-        full = np.zeros_like(x.values)
-        full[..., start:stop] = g
-        return (full,)
-
-    return _record(x.values[..., start:stop].copy(), (x,), backward)
-
-
 def reshape(x, shape: tuple[int, ...]) -> Tensor:
     x = _as_tensor(x)
     try:
@@ -172,6 +159,19 @@ def reshape(x, shape: tuple[int, ...]) -> Tensor:
     except ValueError:
         raise ValueError(f"reshape: cannot view shape {x.shape} as {shape}") from None
     return _record(values, (x,), lambda g: (g.reshape(x.shape),))
+
+
+def permute(x, axes: tuple[int, ...]) -> Tensor:
+    """Reorder the axes (numpy.transpose); the result is stored contiguously."""
+    x = _as_tensor(x)
+    if sorted(axes) != list(range(x.values.ndim)):
+        raise ValueError(f"permute: {axes} is not a permutation of {x.values.ndim} axes")
+    inverse = tuple(np.argsort(axes))
+    return _record(
+        np.ascontiguousarray(x.values.transpose(axes)),
+        (x,),
+        lambda g: (np.ascontiguousarray(g.transpose(inverse)),),
+    )
 
 
 def relu(x) -> Tensor:
@@ -200,19 +200,76 @@ def sum(x) -> Tensor:  # noqa: A001 - numpy-style name, accessed as autodiff.sum
     )
 
 
-def mse(pred, target) -> Tensor:
-    """Mean over all elements of the squared difference."""
-    pred, target = _as_tensor(pred), _as_tensor(target)
-    if pred.shape != target.shape:
-        raise ValueError(f"mse: shapes {pred.shape} and {target.shape} differ")
-    diff = pred.values - target.values
-    size = diff.size
+def gru_cell(x, h, w, u_zr, u_h, b) -> Tensor:
+    """One GRU update on the rows of `x` (N, D) and `h` (N, H), as one node.
+
+    The gate weights come stacked: `w` = [Wz | Wr | Wh] is D x 3H, `u_zr` =
+    [Uz | Ur] is H x 2H, `u_h` is H x H and `b` = [bz | br | bh] has 3H
+    entries.  With z = sigmoid(x Wz + h Uz + bz), r = sigmoid(x Wr + h Ur + br)
+    and a = tanh(x Wh + (r * h) Uh + bh) the new state is h + z * (a - h).
+    The input side is one GEMM for all three gates and the state side one for
+    z and r, plus the (r * h) Uh product (Appleyard et al., arXiv:1604.01946).
+    """
+    x, h, w, u_zr, u_h, b = (_as_tensor(t) for t in (x, h, w, u_zr, u_h, b))
+    hid = h.shape[-1] if h.values.ndim else 0
+    if (
+        x.values.ndim != 2
+        or h.values.ndim != 2
+        or x.shape[0] != h.shape[0]
+        or (w.shape, u_zr.shape, u_h.shape, b.shape)
+        != ((x.shape[1], 3 * hid), (hid, 2 * hid), (hid, hid), (3 * hid,))
+    ):
+        raise ValueError(
+            f"gru_cell: shapes x {x.shape}, h {h.shape}, w {w.shape}, u_zr {u_zr.shape}, "
+            f"u_h {u_h.shape}, b {b.shape} do not fit together"
+        )
+    xw = x.values @ w.values
+    xw += b.values
+    zr = h.values @ u_zr.values
+    zr += xw[:, : 2 * hid]
+    with np.errstate(over="ignore"):  # exp(-v) = inf gives sigmoid(v) = 0 exactly
+        np.exp(np.negative(zr, out=zr), out=zr)
+    zr += 1.0
+    np.reciprocal(zr, out=zr)
+    z, r = zr[:, :hid], zr[:, hid:]
+    rh = r * h.values
+    cand = rh @ u_h.values
+    cand += xw[:, 2 * hid :]
+    np.tanh(cand, out=cand)
+    step = cand - h.values
+    h_new = z * step
+    h_new += h.values
 
     def backward(g):
-        scaled = (2.0 / size) * diff * g
-        return (scaled, -scaled)
+        d_a = g * z
+        d_a *= 1.0 - cand * cand
+        d_rh = d_a @ u_h.values.T
+        d_zr = np.empty_like(zr)
+        np.multiply(g, step, out=d_zr[:, :hid])
+        np.multiply(d_rh, h.values, out=d_zr[:, hid:])
+        d_zr *= zr
+        d_zr *= 1.0 - zr
+        d_h = d_x = d_w = None
+        if h.requires_grad:
+            d_h = d_zr @ u_zr.values.T
+            d_h += g
+            d_h -= g * z
+            d_h += d_rh * r
+        if x.requires_grad:
+            d_x = d_zr @ w.values[:, : 2 * hid].T
+            d_x += d_a @ w.values[:, 2 * hid :].T
+        if w.requires_grad:
+            d_w = np.concatenate([x.values.T @ d_zr, x.values.T @ d_a], axis=1)
+        return (
+            d_x,
+            d_h,
+            d_w,
+            h.values.T @ d_zr if u_zr.requires_grad else None,
+            rh.T @ d_a if u_h.requires_grad else None,
+            np.concatenate([d_zr.sum(axis=0), d_a.sum(axis=0)]) if b.requires_grad else None,
+        )
 
-    return _record(np.asarray(np.mean(diff * diff)), (pred, target), backward)
+    return _record(h_new, (x, h, w, u_zr, u_h, b), backward)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -226,6 +283,8 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in seen:
             continue
+        if node._parents is None:
+            raise RuntimeError("backward: the graph was already consumed by an earlier backward")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -235,7 +294,13 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor, store: "ParameterStore | None" = None) -> None:
-    """Accumulate dLoss/d(leaf) into `.grad` for every reachable tensor.
+    """Accumulate dLoss/d(leaf) into `.grad` for every reachable leaf tensor.
+
+    The walk consumes the graph: once a recorded node has passed its gradient
+    on, its `grad`, `_parents` and `_backward_fn` are dropped, so activations
+    are freed while the walk proceeds.  Leaves (parameters and other tensors
+    created with requires_grad) keep their `.grad`.  A second `backward`
+    through a consumed graph raises RuntimeError.
 
     When a ParameterStore is given, parameters the loss does not reach get an
     explicit zero gradient so optimizer steps see a complete set.
@@ -244,16 +309,19 @@ def backward(loss: Tensor, store: "ParameterStore | None" = None) -> None:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     order = _topo_order(loss)
     loss.grad = np.ones_like(loss.values)
-    for node in reversed(order):
-        if node._backward_fn is None or node.grad is None:
+    while order:
+        node = order.pop()
+        if node._backward_fn is None:
             continue
-        contributions = node._backward_fn(node.grad)
-        for parent, contribution in zip(node._parents, contributions):
-            if not parent.requires_grad or contribution is None:
-                continue
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.values)
-            parent.grad += contribution
+        if node.grad is not None:
+            contributions = node._backward_fn(node.grad)
+            for parent, contribution in zip(node._parents, contributions):
+                if not parent.requires_grad or contribution is None:
+                    continue
+                # A contribution may alias the node's gradient or a sibling's, so
+                # gradients are replaced, never updated in place.
+                parent.grad = contribution if parent.grad is None else parent.grad + contribution
+        node.grad = node._parents = node._backward_fn = None
     if store is not None:
         for tensor in store.tensors():
             if tensor.grad is None:

@@ -13,7 +13,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import autodiff as ad
 from .datagen import SequenceDataset
 from .errors import ConfigError, DataError
 from .model import UmtnModel
@@ -101,8 +100,8 @@ def evaluate_model(
 ) -> EvalReport:
     """Closed-loop MAE of one or more trained models over a split.
 
-    Each model is rolled out with teacher_prob = 0 on every sequence of the
-    split; per-sequence errors are averaged into one MAE per model, then
+    Each model is rolled out with teacher_prob = 0 on the whole split as one
+    batch; per-sequence errors are averaged into one MAE per model, then
     aggregated across models.  Parameters are never modified.
     """
     if isinstance(models, UmtnModel):
@@ -120,12 +119,8 @@ def evaluate_model(
             raise DataError("model geometry does not match the dataset's sites")
 
     errors = np.empty((len(models), values.shape[0], horizon, dataset.sites.n))
-    with ad.no_grad():
-        for r, model in enumerate(models):
-            feats = model.spatial_feature_tensors()
-            for s, seq in enumerate(values):
-                res = model.rollout(seq[:tau], horizon, feature_tensors=feats)
-                errors[r, s] = np.abs(seq[tau:] - res.predictions)
+    for r, model in enumerate(models):
+        errors[r] = np.abs(values[:, tau:] - model.rollout(values[:, :tau], horizon).predictions)
     return _aggregate(errors, tau, horizon, split, seeds)
 
 

@@ -7,7 +7,7 @@ fuses the resulting per-site feature vectors over time with a shared GRU:
 * spatial transformation network: one MLP, shared across every level and
   every ordered site pair, mapping (x_i, x_j, phi(||x_i - x_j||)) to
   `feature_width` values; stacking all pairs yields per-feature n x n
-  matrices.
+  matrices S_f, held as one (n F) x n operator.
 * LSTB: per feature f, the transformed coefficients c + G S_f c with a
   residual connection, where G is the scaled inverse of the interpolation
   matrix.
@@ -16,6 +16,10 @@ fuses the resulting per-site feature vectors over time with a shared GRU:
 * RFN: a per-site GRU over the concatenated multilevel feature vectors,
   followed by a linear readout of the next measurement.
 
+A rollout advances a batch of B sequences together: the coefficients of a
+step form an n x B block, and the per-site layers run on n B rows, row
+i B + b holding site i of sequence b.
+
 All learned tensors live in a ParameterStore; geometry (Phi, its scaled
 inverse, the ridge-fit matrix, and the pair inputs) is precomputed per site
 set and shared by every forward pass.
@@ -23,7 +27,8 @@ set and shared by every forward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -131,18 +136,31 @@ def _mlp_forward(store: ParameterStore, prefix: str, x: Tensor, n_layers: int) -
     return h
 
 
+def _stacked_operator(params: ParameterStore, prefix: str, geometry: SiteGeometry, width: int) -> Tensor:
+    """The spatial net over every ordered site pair as one (n F) x n operator.
+
+    Row i F + f, column j holds feature f of the pair (x_i, x_j), so one
+    product with an n x B coefficient block transforms it by every S_f.
+    """
+    n = geometry.n
+    out = _mlp_forward(params, prefix, Tensor(geometry.pair_inputs), 3)  # row i n + j
+    return ad.reshape(ad.permute(ad.reshape(out, (n, n, width)), (0, 2, 1)), (n * width, n))
+
+
 class RfnWeights(NamedTuple):
-    wz: Tensor
-    uz: Tensor
-    bz: Tensor
-    wr: Tensor
-    ur: Tensor
-    br: Tensor
-    wh: Tensor
-    uh: Tensor
-    bh: Tensor
+    """GRU weights stacked gate-wise as `ad.gru_cell` takes them, plus the readout."""
+
+    w: Tensor  # [Wz | Wr | Wh]
+    u_zr: Tensor  # [Uz | Ur]
+    u_h: Tensor
+    b: Tensor  # [bz | br | bh]
     wo: Tensor
     bo: Tensor
+
+    @classmethod
+    def from_gates(cls, wz, uz, bz, wr, ur, br, wh, uh, bh, wo, bo) -> "RfnWeights":
+        """Stack per-gate tensors; gradients flow back to each of them."""
+        return cls(ad.concat([wz, wr, wh]), ad.concat([uz, ur]), uh, ad.concat([bz, br, bh]), wo, bo)
 
 
 def _as_column(x) -> Tensor:
@@ -152,14 +170,23 @@ def _as_column(x) -> Tensor:
     return t
 
 
-def lstb_forward(feature_matrices: Sequence, g_matrix, coeffs) -> Tensor:
+def lstb_forward(operator, g_matrix, coeffs) -> Tensor:
     """Transformed coefficients: column f is c + G S_f c (residual per feature).
 
-    Accepts tensors or plain arrays; returns an n x F tensor.
+    `operator` is the stacked (n F) x n spatial operator (row i F + f is row i
+    of S_f) and `coeffs` one coefficient column per sequence, (n,) or (n, B).
+    Accepts tensors or plain arrays; returns the (n B) x F block whose row
+    i B + b holds site i of sequence b.
     """
     c = _as_column(coeffs)
-    stacked = ad.concat([ad.matmul(s, c) for s in feature_matrices])
-    return ad.add(ad.matmul(g_matrix, stacked), c)
+    n, batch = c.shape
+    transformed = ad.matmul(operator, c)  # row i F + f
+    width = transformed.shape[0] // n
+    transformed = ad.reshape(transformed, (n, width * batch))  # column f B + b
+    residual = ad.add(
+        ad.reshape(ad.matmul(g_matrix, transformed), (n, width, batch)), ad.reshape(c, (n, 1, batch))
+    )
+    return ad.reshape(ad.permute(residual, (0, 2, 1)), (n * batch, width))
 
 
 def nab_forward(gamma: Sequence, features) -> Tensor:
@@ -173,29 +200,31 @@ def nab_forward(gamma: Sequence, features) -> Tensor:
 def rfn_step(weights: RfnWeights, inputs, hidden) -> tuple[Tensor, Tensor]:
     """One GRU update plus the linear readout.
 
-    `inputs` is (n, input_width) and `hidden` is (n, hidden_width); weights
-    are shared across the rows (sites), each of which carries its own hidden
-    state.  Returns (prediction column, new hidden state).
+    `inputs` is (rows, input_width) and `hidden` is (rows, hidden_width);
+    weights are shared across the rows (sites), each of which carries its own
+    hidden state.  Returns (prediction column, new hidden state).
     """
-    x = inputs if isinstance(inputs, Tensor) else Tensor(inputs)
-    h = hidden if isinstance(hidden, Tensor) else Tensor(hidden)
-    z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, weights.wz), ad.matmul(h, weights.uz)), weights.bz))
-    r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, weights.wr), ad.matmul(h, weights.ur)), weights.br))
-    cand = ad.tanh(
-        ad.add(ad.add(ad.matmul(x, weights.wh), ad.matmul(ad.multiply(r, h), weights.uh)), weights.bh)
-    )
-    h_new = ad.add(ad.multiply(ad.subtract(1.0, z), h), ad.multiply(z, cand))
+    h_new = ad.gru_cell(inputs, hidden, weights.w, weights.u_zr, weights.u_h, weights.b)
     prediction = ad.add(ad.matmul(h_new, weights.wo), weights.bo)
     return prediction, h_new
 
 
+def _interpolate_rows(phi: Tensor, rows: Tensor, n: int) -> Tensor:
+    """Phi applied to each sequence of an (n B) x K row block; same layout out."""
+    total, width = rows.shape
+    values = ad.matmul(phi, ad.reshape(rows, (n, total // n * width)))
+    return ad.reshape(values, (total, width))
+
+
 @dataclass
 class RolloutResult:
-    """Predictions from one sequence rollout.
+    """Predictions from one rollout of one sequence or of a batch.
 
-    `all_values` covers every predicted step (hat-u_1 .. hat-u_{tau+T-1});
-    `predictions` is the forecast block (the last T rows); `warmup` the rest.
-    `tensors` carries the graph-linked predictions when recording was on.
+    `all_values` covers every predicted step (hat-u_1 .. hat-u_{tau+T-1}), as
+    (steps, n) for a single sequence or (B, steps, n) for a batch;
+    `predictions` is the forecast block (the last T steps); `warmup` the rest.
+    `tensors` carries the graph-linked per-step (n, B) predictions when
+    recording was on.
     """
 
     all_values: np.ndarray
@@ -205,11 +234,74 @@ class RolloutResult:
 
     @property
     def predictions(self) -> np.ndarray:
-        return self.all_values[self.tau - 1 :]
+        return self.all_values[..., self.tau - 1 :, :]
 
     @property
     def warmup(self) -> np.ndarray:
-        return self.all_values[: self.tau - 1]
+        return self.all_values[..., : self.tau - 1, :]
+
+
+class _RolloutInputs:
+    """Validated rollout inputs, stored as (n, B) frames, plus the input policy.
+
+    Input frames are ground truth for t < tau; beyond that, column b is the
+    teacher frame when sequence b's draw for that step falls below
+    `teacher_prob`, otherwise the model's previous prediction.  The draws are
+    rng.random((B, horizon - 1)), the same stream as drawing sequence by
+    sequence and step by step, and are taken whenever teacher frames are given.
+    """
+
+    def __init__(self, n, observed, horizon, teacher_values, teacher_prob, rng):
+        observed = np.asarray(observed, dtype=float)
+        if observed.ndim not in (2, 3) or observed.shape[-1] != n or observed.shape[-2] < 1:
+            raise ValueError(f"observed must be (tau, {n}) or (B, tau, {n}), got {observed.shape}")
+        self.batched = observed.ndim == 3
+        observed = observed if self.batched else observed[None]
+        self.batch, self.tau = observed.shape[:2]
+        if self.batch < 1 or horizon < 0:
+            raise ValueError("need at least one sequence and horizon >= 0")
+        if not 0.0 <= teacher_prob <= 1.0:
+            raise ValueError("teacher_prob must lie in [0, 1]")
+        if teacher_prob > 0.0 and teacher_values is None:
+            raise ValueError("teacher_prob > 0 requires teacher_values")
+        self.n = n
+        self.steps = self.tau + horizon - 1
+        self.frames = np.ascontiguousarray(observed.transpose(1, 2, 0))
+        self.teacher = self.use_teacher = None
+        if teacher_values is not None:
+            teacher_values = np.asarray(teacher_values, dtype=float)
+            expected = (self.batch, self.steps, n) if self.batched else (self.steps, n)
+            if teacher_values.shape != expected:
+                raise ValueError(f"teacher_values must be {expected}, got {teacher_values.shape}")
+            teacher = teacher_values if self.batched else teacher_values[None]
+            self.teacher = np.ascontiguousarray(teacher.transpose(1, 2, 0))
+            rng = rng if rng is not None else np.random.default_rng(0)
+            self.use_teacher = rng.random((self.batch, max(horizon - 1, 0))) < teacher_prob
+
+    def frame(self, t: int, preds: list[Tensor]) -> Tensor:
+        """The (n, B) input frame of step t, given the predictions so far."""
+        if t < self.tau:
+            return Tensor(self.frames[t])
+        mask = None if self.use_teacher is None else self.use_teacher[:, t - self.tau]
+        if mask is None or not mask.any():
+            return preds[-1]
+        if mask.all():
+            return Tensor(self.teacher[t])
+        return ad.add(ad.multiply(preds[-1], Tensor(~mask * 1.0)), Tensor(self.teacher[t] * mask))
+
+    def result(self, preds: list[Tensor], record: bool, loss_start: int = 0) -> RolloutResult:
+        stacked = np.stack([p.values for p in preds]) if preds else np.empty((0, self.n, self.batch))
+        all_values = np.ascontiguousarray(stacked.transpose(2, 0, 1))
+        return RolloutResult(
+            all_values if self.batched else all_values[0],
+            self.tau,
+            tensors=preds if record else None,
+            loss_start=loss_start,
+        )
+
+
+def _recording(record: bool):
+    return nullcontext() if record else ad.no_grad()
 
 
 class UmtnModel:
@@ -265,7 +357,7 @@ class UmtnModel:
 
     def _rfn_weights(self) -> RfnWeights:
         p = self.params
-        return RfnWeights(
+        return RfnWeights.from_gates(
             p["rfn.wz"], p["rfn.uz"], p["rfn.bz"],
             p["rfn.wr"], p["rfn.ur"], p["rfn.br"],
             p["rfn.wh"], p["rfn.uh"], p["rfn.bh"],
@@ -276,27 +368,30 @@ class UmtnModel:
         p = self.params
         return (p[f"nab{level}.w0"], p[f"nab{level}.b0"], p[f"nab{level}.w1"], p[f"nab{level}.b1"])
 
-    def spatial_feature_tensors(self) -> list[Tensor]:
-        """The per-feature n x n spatial matrices, graph-linked to the shared net."""
-        geom = self.geometry
-        n = geom.n
-        out = _mlp_forward(self.params, "alpha", Tensor(geom.pair_inputs), 3)
-        return [
-            ad.reshape(ad.slice_last(out, f_idx, f_idx + 1), (n, n))
-            for f_idx in range(self.config.feature_width)
-        ]
+    def spatial_feature_tensors(self) -> Tensor:
+        """The stacked (n F) x n spatial operator, graph-linked to the shared net."""
+        return _stacked_operator(self.params, "alpha", self.geometry, self.config.feature_width)
 
-    def multilevel_feature_tensor(self, c0, feature_tensors=None) -> Tensor:
-        """Concatenated multilevel features U = Phi [c0 | C_1 | ... | C_M]."""
-        feats = feature_tensors if feature_tensors is not None else self.spatial_feature_tensors()
+    def multilevel_feature_tensor(self, c0, operator=None) -> Tensor:
+        """Concatenated multilevel features U = Phi [c0 | C_1 | ... | C_M].
+
+        `c0` holds one coefficient column per sequence, (n,) or (n, B); the
+        result is (n B) x (F M + 1), row i B + b for site i of sequence b.  The
+        last level's aggregator output would feed no further level, so it is
+        not computed.
+        """
+        op = operator if operator is not None else self.spatial_feature_tensors()
+        c = _as_column(c0)
+        n, batch = c.shape
         g = Tensor(self.geometry.scaled_inv)
-        cols = [_as_column(c0)]
-        c = cols[0]
+        cols = [ad.reshape(c, (n * batch, 1))]
         for level in range(1, self.config.levels + 1):
-            block = lstb_forward(feats, g, c)
+            block = lstb_forward(op, g, c)
             cols.append(block)
-            c = nab_forward(self.nab_weights(level), block)
-        return ad.matmul(Tensor(self.geometry.phi), cols[0] if len(cols) == 1 else ad.concat(cols))
+            if level < self.config.levels:
+                c = ad.reshape(nab_forward(self.nab_weights(level), block), (n, batch))
+        stacked = cols[0] if len(cols) == 1 else ad.concat(cols)
+        return _interpolate_rows(Tensor(self.geometry.phi), stacked, n)
 
     def rollout(
         self,
@@ -306,69 +401,33 @@ class UmtnModel:
         teacher_prob: float = 0.0,
         rng: Optional[np.random.Generator] = None,
         record: bool = False,
-        feature_tensors: Optional[list[Tensor]] = None,
     ) -> RolloutResult:
         """Predict hat-u_1 .. hat-u_{tau + horizon - 1} from tau observed frames.
 
-        Input frames: ground truth for t < tau; beyond that, the teacher frame
-        with probability `teacher_prob` per step (seeded draw), otherwise the
-        model's previous prediction.  Each input frame is ridge-fitted to
-        coefficients, expanded through the level cascade, and fed to the
-        per-site GRU, whose hidden state persists across the whole sequence.
-        `teacher_values`, when given, holds the ground-truth input frames
-        u_0 .. u_{tau+horizon-2}.  With `record`, the returned result carries
-        the prediction tensors for loss construction.
+        `observed` is (tau, n) for one sequence or (B, tau, n) for a batch,
+        which is rolled out as one n x B block; `teacher_values`, when given,
+        holds the ground-truth input frames u_0 .. u_{tau+horizon-2} in the same
+        layout.  Each input frame is ridge-fitted to coefficients, expanded
+        through the level cascade, and fed to the per-site GRU, whose hidden
+        state persists across the whole sequence.  Beyond tau, a sequence's
+        input is its teacher frame with probability `teacher_prob` per step
+        (seeded draw), otherwise the model's previous prediction.  With
+        `record`, the returned result carries the prediction tensors for loss
+        construction.
         """
-        observed = np.asarray(observed, dtype=float)
-        n = self.geometry.n
-        if observed.ndim != 2 or observed.shape[1] != n:
-            raise ValueError(f"observed must be (tau, {n}), got {observed.shape}")
-        tau = observed.shape[0]
-        if tau < 1 or horizon < 0:
-            raise ValueError("need tau >= 1 and horizon >= 0")
-        if not 0.0 <= teacher_prob <= 1.0:
-            raise ValueError("teacher_prob must lie in [0, 1]")
-        if teacher_prob > 0.0 and teacher_values is None:
-            raise ValueError("teacher_prob > 0 requires teacher_values")
-        total_steps = tau + horizon - 1
-        if teacher_values is not None:
-            teacher_values = np.asarray(teacher_values, dtype=float)
-            if teacher_values.shape != (total_steps, n):
-                raise ValueError(
-                    f"teacher_values must be ({total_steps}, {n}), got {teacher_values.shape}"
-                )
-            if rng is None:
-                rng = np.random.default_rng(0)
-
-        if record:
-            return self._rollout_impl(observed, horizon, teacher_values, teacher_prob, rng, True, feature_tensors)
-        with ad.no_grad():
-            return self._rollout_impl(observed, horizon, teacher_values, teacher_prob, rng, False, feature_tensors)
-
-    def _rollout_impl(self, observed, horizon, teacher_values, teacher_prob, rng, record, feature_tensors):
-        tau = observed.shape[0]
-        n = self.geometry.n
-        feats = feature_tensors if feature_tensors is not None else self.spatial_feature_tensors()
-        fit = Tensor(self.geometry.fit)
-        hidden = Tensor(np.zeros((n, self.config.rfn_hidden)))
-        weights = self._rfn_weights()
-        preds: list[Tensor] = []
-        for t in range(tau + horizon - 1):
-            if t < tau:
-                frame: Tensor = Tensor(observed[t][:, None])
-            else:
-                use_teacher = teacher_values is not None and rng.random() < teacher_prob
-                frame = Tensor(teacher_values[t][:, None]) if use_teacher else preds[-1]
-            c0 = ad.matmul(fit, frame)
-            features = self.multilevel_feature_tensor(c0, feats)
-            prediction, hidden = rfn_step(weights, features, hidden)
-            preds.append(prediction)
-        all_values = (
-            np.stack([p.values[:, 0] for p in preds])
-            if preds
-            else np.empty((0, n))
-        )
-        return RolloutResult(all_values, tau, tensors=preds if record else None)
+        inputs = _RolloutInputs(self.geometry.n, observed, horizon, teacher_values, teacher_prob, rng)
+        n, batch = self.geometry.n, inputs.batch
+        with _recording(record):
+            operator = self.spatial_feature_tensors()
+            fit = Tensor(self.geometry.fit)
+            weights = self._rfn_weights()
+            hidden = Tensor(np.zeros((n * batch, self.config.rfn_hidden)))
+            preds: list[Tensor] = []
+            for t in range(inputs.steps):
+                c0 = ad.matmul(fit, inputs.frame(t, preds))
+                prediction, hidden = rfn_step(weights, self.multilevel_feature_tensor(c0, operator), hidden)
+                preds.append(ad.reshape(prediction, (n, batch)))
+            return inputs.result(preds, record)
 
 
 def build_spatial_features(model: UmtnModel, sites: Optional[SiteSet] = None) -> np.ndarray:
@@ -376,7 +435,9 @@ def build_spatial_features(model: UmtnModel, sites: Optional[SiteSet] = None) ->
     if sites is not None and sites.content_hash() != model.geometry.site_hash:
         raise ValueError("site set does not match the model's geometry cache")
     with ad.no_grad():
-        return np.stack([t.values for t in model.spatial_feature_tensors()])
+        operator = model.spatial_feature_tensors().values
+    n = model.geometry.n
+    return operator.reshape(n, -1, n).transpose(1, 0, 2)
 
 
 def multilevel_features(model: UmtnModel, c0: np.ndarray) -> np.ndarray:
@@ -446,35 +507,31 @@ class DrcModel:
         _register_mlp(store, rng, "agg", [config.aggregator_input_width, *config.aggregator_hidden, 1])
         return cls(config, geometry, store)
 
-    def spatial_feature_tensors(self) -> list[Tensor]:
-        n = self.geometry.n
-        out = _mlp_forward(self.params, "spatial", Tensor(self.geometry.pair_inputs), 3)
-        return [
-            ad.reshape(ad.slice_last(out, f_idx, f_idx + 1), (n, n))
-            for f_idx in range(self.config.feature_width)
-        ]
+    def spatial_feature_tensors(self) -> Tensor:
+        """The stacked (n F) x n spatial operator, graph-linked to the spatial net."""
+        return _stacked_operator(self.params, "spatial", self.geometry, self.config.feature_width)
 
-    def forward(self, frames: Sequence, feature_tensors=None) -> Tensor:
+    def forward(self, frames: Sequence, operator=None) -> Tensor:
         """Next-step prediction from the most recent frames (current one last).
 
-        The aggregator sees the spatially transformed current frame followed
-        by the `past_frames` most recent raw measurements, newest first.
+        Each frame is an n-vector or an (n, B) block of B sequences; the result
+        is (n, B).  The aggregator sees the spatially transformed current frame
+        followed by the `past_frames` most recent raw measurements, newest
+        first.
         """
         p = self.config.past_frames
-        frames = [
-            f if isinstance(f, Tensor) else Tensor(np.asarray(f, dtype=float)[:, None])
-            for f in frames
-        ]
+        frames = [_as_column(f) for f in frames]
         if len(frames) < p:
             raise ValueError(f"need at least {p} frames, got {len(frames)}")
-        feats = feature_tensors if feature_tensors is not None else self.spatial_feature_tensors()
-        current = frames[-1]
-        c = ad.matmul(Tensor(self.geometry.fit), current)
-        block = lstb_forward(feats, Tensor(self.geometry.scaled_inv), c)
-        values = ad.matmul(Tensor(self.geometry.phi), block)
-        recent = list(reversed(frames[-p:]))
+        operator = operator if operator is not None else self.spatial_feature_tensors()
+        geom = self.geometry
+        n, batch = frames[-1].shape
+        c = ad.matmul(Tensor(geom.fit), frames[-1])
+        block = lstb_forward(operator, Tensor(geom.scaled_inv), c)
+        values = _interpolate_rows(Tensor(geom.phi), block, n)
+        recent = [ad.reshape(f, (n * batch, 1)) for f in reversed(frames[-p:])]
         x = ad.concat([values, *recent])
-        return _mlp_forward(self.params, "agg", x, 4)
+        return ad.reshape(_mlp_forward(self.params, "agg", x, 4), (n, batch))
 
     def rollout(
         self,
@@ -485,44 +542,25 @@ class DrcModel:
         rng: Optional[np.random.Generator] = None,
         record: bool = False,
     ) -> RolloutResult:
-        """Closed-loop multi-step prediction with the same input policy as the
-        recurrent model; predictions start once `past_frames` inputs exist."""
-        observed = np.asarray(observed, dtype=float)
-        tau = observed.shape[0]
+        """Closed-loop multi-step prediction with the same inputs and input
+        policy as the recurrent model; predictions start once `past_frames`
+        inputs exist."""
         p = self.config.past_frames
-        if tau < p:
-            raise ValueError(f"need at least {p} observed frames, got {tau}")
-        if teacher_prob > 0.0 and teacher_values is None:
-            raise ValueError("teacher_prob > 0 requires teacher_values")
-        if teacher_values is not None and rng is None:
-            rng = np.random.default_rng(0)
-
-        def run():
-            feats = self.spatial_feature_tensors()
+        inputs = _RolloutInputs(self.geometry.n, observed, horizon, teacher_values, teacher_prob, rng)
+        if inputs.tau < p:
+            raise ValueError(f"need at least {p} observed frames, got {inputs.tau}")
+        with _recording(record):
+            operator = self.spatial_feature_tensors()
+            placeholder = Tensor(np.zeros((self.geometry.n, inputs.batch)))
             history: list[Tensor] = []
             preds: list[Tensor] = []
-            n = self.geometry.n
-            for t in range(tau + horizon - 1):
-                if t < tau:
-                    frame = Tensor(observed[t][:, None])
-                else:
-                    use_teacher = teacher_values is not None and rng.random() < teacher_prob
-                    frame = Tensor(teacher_values[t][:, None]) if use_teacher else preds[-1]
-                history.append(frame)
-                if len(history) >= p:
-                    preds.append(self.forward(history[-p:], feature_tensors=feats))
-                else:
-                    preds.append(Tensor(np.zeros((n, 1))))
-            all_values = np.stack([x.values[:, 0] for x in preds]) if preds else np.empty((0, n))
+            for t in range(inputs.steps):
+                history.append(inputs.frame(t, preds))
+                preds.append(
+                    self.forward(history[-p:], operator=operator) if len(history) >= p else placeholder
+                )
             # entries before index p - 1 are placeholders, not predictions
-            return RolloutResult(
-                all_values, tau, tensors=preds if record else None, loss_start=p - 1
-            )
-
-        if record:
-            return run()
-        with ad.no_grad():
-            return run()
+            return inputs.result(preds, record, loss_start=p - 1)
 
 
 def drc_forward(model: DrcModel, observed_frames) -> np.ndarray:

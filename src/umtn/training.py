@@ -5,10 +5,11 @@ predicted step, warm-up included:
 
     sum_{t=1}^{tau+T-1} ||u_t - hat-u_t||^2
 
-averaged over the sequences in a batch.  During training the input frame for
-t >= tau is the ground truth with probability `teacher_prob` (an inverse
-sigmoid schedule in the epoch index), otherwise the model's own previous
-prediction; validation always runs closed loop.
+averaged over the sequences in a batch, which is rolled out as one block.
+During training the input frame for t >= tau is the ground truth with
+probability `teacher_prob` (an inverse sigmoid schedule in the epoch index),
+otherwise the model's own previous prediction; validation always runs closed
+loop.
 """
 
 from __future__ import annotations
@@ -104,31 +105,31 @@ class TrainResult:
 
 
 def sequence_loss(result, targets: np.ndarray) -> Tensor:
-    """Graph-linked sum over steps of the squared error against `targets`.
+    """Graph-linked squared error against `targets`, summed over steps, sites
+    and sequences.
 
-    `targets` holds u_1 .. u_{tau+T-1}; rows before result.loss_start are
-    skipped (only relevant for models that need a frame window).
+    `targets` holds u_1 .. u_{tau+T-1} in the layout of result.all_values:
+    (steps, n) for one sequence or (B, steps, n) for a batch.  Steps before
+    result.loss_start are skipped (only relevant for models that need a frame
+    window).
     """
     start = result.loss_start
-    preds = ad.concat(result.tensors[start:])  # (n, steps)
-    diff = ad.subtract(preds, Tensor(np.ascontiguousarray(targets[start:].T)))
+    targets = np.asarray(targets, dtype=float)
+    targets = targets if targets.ndim == 3 else targets[None]
+    preds = ad.concat(result.tensors[start:])  # (n, steps * B), column s B + b
+    expected = targets[:, start:].transpose(2, 1, 0).reshape(preds.shape)
+    diff = ad.subtract(preds, Tensor(expected))
     return ad.sum(ad.multiply(diff, diff))
 
 
 def validation_mae(model: UmtnModel, dataset: SequenceDataset, split: str = "val") -> float:
-    """Closed-loop forecast MAE averaged over a split's sequences."""
+    """Closed-loop forecast MAE over a split's sequences, rolled out as one batch."""
     tau = dataset.tau
-    horizon = dataset.horizon
     values = dataset.split_values(split)
     if values.shape[0] == 0:
         raise ConfigError(f"{split} split is empty")
-    with ad.no_grad():
-        feats = model.spatial_feature_tensors()
-        scores = []
-        for seq in values:
-            res = model.rollout(seq[:tau], horizon, feature_tensors=feats)
-            scores.append(mae(seq[tau:], res.predictions))
-    return float(np.mean(scores))
+    result = model.rollout(values[:, :tau], dataset.horizon)
+    return mae(values[:, tau:], result.predictions)
 
 
 def train_loop(model: UmtnModel, dataset: SequenceDataset, config: TrainConfig) -> TrainResult:
@@ -160,29 +161,20 @@ def train_loop(model: UmtnModel, dataset: SequenceDataset, config: TrainConfig) 
         order = rng.permutation(train_idx)
         loss_total = 0.0
         for start in range(0, order.size, batch_size):
-            batch = order[start : start + batch_size]
-            feats = model.spatial_feature_tensors()
-            per_seq = []
-            for idx in batch:
-                seq = dataset.sequences[idx]
-                rollout = model.rollout(
-                    seq[:tau],
-                    horizon,
-                    teacher_values=seq[: tau + horizon - 1],
-                    teacher_prob=teacher_prob,
-                    rng=rng,
-                    record=True,
-                    feature_tensors=feats,
-                )
-                per_seq.append(sequence_loss(rollout, seq[1 : tau + horizon]))
-            total = per_seq[0]
-            for extra in per_seq[1:]:
-                total = ad.add(total, extra)
-            loss = ad.multiply(total, 1.0 / len(batch))
+            seqs = dataset.sequences[order[start : start + batch_size]]
+            rollout = model.rollout(
+                seqs[:, :tau],
+                horizon,
+                teacher_values=seqs[:, : tau + horizon - 1],
+                teacher_prob=teacher_prob,
+                rng=rng,
+                record=True,
+            )
+            loss = ad.multiply(sequence_loss(rollout, seqs[:, 1 : tau + horizon]), 1.0 / len(seqs))
             value = loss.item()
             if not math.isfinite(value):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}", at_time=epoch)
-            loss_total += value * len(batch)
+            loss_total += value * len(seqs)
             backward(loss, model.params)
             adam_step(model.params, lr=config.lr)
         train_loss = loss_total / order.size

@@ -69,7 +69,7 @@ def test_spatial_block_reproduces_collocation_step():
     unscaled_inv = scaled_inverse(system) * inverse_scale_factor(system)
     c0 = np.linalg.solve(system.phi, u0)
     with ad.no_grad():
-        block = lstb_forward([Tensor(feature)], Tensor(unscaled_inv), Tensor(c0))
+        block = lstb_forward(Tensor(feature), Tensor(unscaled_inv), Tensor(c0))
         values = system.phi @ block.values[:, 0]
     gap = float(np.max(np.abs(values - expected)))
     elapsed = time.time() - start
@@ -88,20 +88,25 @@ def test_gradient_suite():
             store.register(name, rng.normal(size=shape))
         return store
 
-    target = rng.normal(size=(3, 4))
     primitive_cases = {
         "add": (store_of(a=(3, 4), b=(1, 4)), lambda s: ad.sum(ad.sigmoid(ad.add(s["a"], s["b"])))),
         "subtract": (store_of(a=(2, 3), b=(2, 3)), lambda s: ad.sum(ad.tanh(ad.subtract(s["a"], s["b"])))),
         "multiply": (store_of(a=(2, 3), b=(3,)), lambda s: ad.sum(ad.sigmoid(ad.multiply(s["a"], s["b"])))),
         "matmul": (store_of(a=(2, 3), b=(3, 2)), lambda s: ad.sum(ad.tanh(ad.matmul(s["a"], s["b"])))),
         "concat": (store_of(a=(2, 2), b=(2, 3)), lambda s: ad.sum(ad.sigmoid(ad.concat([s["a"], s["b"]])))),
-        "slice_last": (store_of(a=(3, 5),), lambda s: ad.sum(ad.sigmoid(ad.slice_last(s["a"], 1, 4)))),
         "reshape": (store_of(a=(6,), b=(3, 1)), lambda s: ad.sum(ad.matmul(ad.reshape(s["a"], (2, 3)), s["b"]))),
+        "permute": (
+            store_of(a=(2, 3, 4), b=(4, 2, 3)),
+            lambda s: ad.sum(ad.sigmoid(ad.multiply(ad.permute(s["a"], (2, 0, 1)), s["b"]))),
+        ),
         "relu": (store_of(a=(4, 4),), lambda s: ad.sum(ad.relu(s["a"]))),
         "sigmoid": (store_of(a=(5,),), lambda s: ad.sum(ad.sigmoid(s["a"]))),
         "tanh": (store_of(a=(5,),), lambda s: ad.sum(ad.tanh(s["a"]))),
         "sum": (store_of(a=(3, 3),), lambda s: ad.sum(ad.multiply(s["a"], s["a"]))),
-        "mse": (store_of(a=(3, 4),), lambda s: ad.mse(s["a"], Tensor(target))),
+        "gru_cell": (
+            store_of(x=(4, 3), h=(4, 2), w=(3, 6), u_zr=(2, 4), u_h=(2, 2), b=(6,)),
+            lambda s: ad.sum(ad.sigmoid(ad.gru_cell(s["x"], s["h"], s["w"], s["u_zr"], s["u_h"], s["b"]))),
+        ),
     }
     worst = 0.0
     for name, (store, loss_fn) in primitive_cases.items():

@@ -36,19 +36,22 @@ class TestPrimitiveForward:
     def test_relu_clamps(self):
         assert_allclose(ad.relu(leaf([-2.0, 3.0])).values, [0.0, 3.0])
 
-    def test_concat_and_slice_round_trip(self):
+    def test_concat_joins_last_axis(self):
         a, b = leaf([[1.0, 2.0]]), leaf([[3.0]])
-        joined = ad.concat([a, b])
-        assert_allclose(joined.values, [[1.0, 2.0, 3.0]])
-        assert_allclose(ad.slice_last(joined, 2, 3).values, b.values)
+        assert_allclose(ad.concat([a, b]).values, [[1.0, 2.0, 3.0]])
 
-    def test_sum_and_mse(self):
+    def test_sum(self):
         assert ad.sum(leaf([[1.0, 2.0], [3.0, 4.0]])).item() == 10.0
-        assert ad.mse(leaf([1.0, 3.0]), leaf([0.0, 1.0])).item() == pytest.approx(2.5)
 
-    def test_mse_shape_mismatch(self):
+    def test_permute_reorders_axes(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        out = ad.permute(leaf(x), (0, 2, 1))
+        assert np.array_equal(out.values, x.transpose(0, 2, 1))
+        assert out.values.flags.c_contiguous
+
+    def test_permute_rejects_non_permutation(self):
         with pytest.raises(ValueError):
-            ad.mse(leaf([1.0]), leaf([1.0, 2.0]))
+            ad.permute(leaf(np.zeros((2, 3))), (0, 0))
 
 
 class TestBackwardGradients:
@@ -103,12 +106,26 @@ class TestBackwardGradients:
         backward(ad.sum(ad.sigmoid(x)))
         assert_allclose(x.grad, [0.25])
 
-    def test_mse_gradient(self):
-        pred = leaf([1.0, 3.0])
-        target = leaf([0.0, 1.0])
-        backward(ad.mse(pred, target))
-        assert_allclose(pred.grad, [1.0, 2.0])  # 2 * diff / size
-        assert_allclose(target.grad, [-1.0, -2.0])
+    def test_matmul_constant_operand_gets_no_product(self):
+        """The parameter's gradient is bit-identical to the dense formula."""
+        rng = np.random.default_rng(40)
+        w = leaf(rng.normal(size=(3, 4)))
+        phi = Tensor(rng.normal(size=(5, 3)))
+        weight = rng.normal(size=(5, 4))
+        for out, dense in (
+            (ad.matmul(phi, w), phi.values.T @ weight),
+            (ad.matmul(ad.reshape(w, (4, 3)), phi.values.T), weight.reshape(4, 5) @ phi.values),
+        ):
+            w.grad = None
+            backward(ad.sum(ad.multiply(out, Tensor(weight.reshape(out.shape)))))
+            assert np.array_equal(w.grad, dense.reshape(w.shape))
+            assert phi.grad is None
+
+    def test_permute_gradient_is_inverse_permutation(self):
+        x = leaf(np.zeros((2, 3, 4)))
+        weight = np.arange(24.0).reshape(3, 4, 2)
+        backward(ad.sum(ad.multiply(ad.permute(x, (1, 2, 0)), Tensor(weight))))
+        assert np.array_equal(x.grad, weight.transpose(2, 0, 1))
 
     def test_concat_splits_gradient(self):
         a, b = leaf([[1.0, 2.0]]), leaf([[3.0]])
@@ -132,6 +149,17 @@ class TestBackwardGradients:
         backward(ad.sum(ad.multiply(x, y)))
         assert x.grad is None
         assert_allclose(y.grad, [1.0])
+
+    def test_backward_consumes_the_graph(self):
+        x = leaf([1.0, 2.0])
+        hidden = ad.tanh(ad.multiply(x, 3.0))
+        loss = ad.sum(hidden)
+        backward(loss)
+        assert x.grad is not None  # leaves keep their gradient
+        for node in (hidden, loss):
+            assert node.grad is None and node._parents is None and node._backward_fn is None
+        with pytest.raises(RuntimeError, match="consumed"):
+            backward(loss)
 
     def test_store_backfills_unused_parameters(self):
         store = ParameterStore()
@@ -162,6 +190,66 @@ class TestNoGrad:
             pass
         backward(ad.sum(ad.multiply(x, x)))
         assert_allclose(x.grad, [4.0])
+
+
+def composite_gru(x, h, wz, uz, bz, wr, ur, br, wh, uh, bh):
+    """The GRU update spelled out in elementwise primitives."""
+    z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, wz), ad.matmul(h, uz)), bz))
+    r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, wr), ad.matmul(h, ur)), br))
+    cand = ad.tanh(ad.add(ad.add(ad.matmul(x, wh), ad.matmul(ad.multiply(r, h), uh)), bh))
+    return ad.add(ad.multiply(ad.subtract(1.0, z), h), ad.multiply(z, cand))
+
+
+class TestGruCell:
+    NAMES = ("x", "h", "wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
+
+    def store(self, rows=5, width=3, hidden=4, seed=41):
+        rng = np.random.default_rng(seed)
+        shapes = {"x": (rows, width), "h": (rows, hidden)}
+        for gate in "zrh":
+            shapes.update({f"w{gate}": (width, hidden), f"u{gate}": (hidden, hidden), f"b{gate}": (hidden,)})
+        store = ParameterStore()
+        for name in self.NAMES:
+            store.register(name, rng.normal(scale=0.8, size=shapes[name]))
+        return store
+
+    @staticmethod
+    def fused(s, h=None):
+        return ad.gru_cell(
+            s["x"],
+            s["h"] if h is None else h,
+            ad.concat([s["wz"], s["wr"], s["wh"]]),
+            ad.concat([s["uz"], s["ur"]]),
+            s["uh"],
+            ad.concat([s["bz"], s["br"], s["bh"]]),
+        )
+
+    def test_matches_composite_formula(self):
+        store = self.store()
+        composite = composite_gru(*(store[name] for name in self.NAMES))
+        assert_allclose(self.fused(store).values, composite.values, rtol=0, atol=1e-12)
+
+    def test_gradients_match_composite_formula(self):
+        store = self.store()
+        weight = Tensor(np.random.default_rng(42).normal(size=(5, 4)))
+        grads = []
+        for build in (self.fused, lambda s: composite_gru(*(s[name] for name in self.NAMES))):
+            store.zero_grads()
+            backward(ad.sum(ad.multiply(build(store), weight)), store)
+            grads.append({name: store[name].grad.copy() for name in self.NAMES})
+        for name in self.NAMES:
+            assert_allclose(grads[0][name], grads[1][name], rtol=0, atol=1e-12, err_msg=name)
+
+    def test_constant_state_gets_no_gradient(self):
+        store = self.store()
+        h = Tensor(np.zeros((5, 4)))
+        backward(ad.sum(self.fused(store, h=h)))
+        assert h.grad is None and store["x"].grad is not None
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="gru_cell"):
+            ad.gru_cell(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((3, 12)), np.zeros((4, 8)),
+                        np.zeros((4, 4)), np.zeros(11))
 
 
 def random_composite(seed):

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from umtn import autodiff as ad
+from umtn import model as model_module
 from umtn.autodiff import ParameterStore, Tensor
 from umtn.errors import ConfigError
 from umtn.interpolation import SiteSet, build_phi
@@ -96,10 +97,17 @@ class TestGlorot:
         assert np.array_equal(a, b)
 
 
+def stacked(mats):
+    """The (n F) x n operator whose row i F + f is row i of mats[f]."""
+    mats = [np.asarray(m) for m in mats]
+    n = mats[0].shape[0]
+    return np.stack(mats, axis=1).reshape(n * len(mats), n)
+
+
 class TestLstb:
     def test_zero_features_pass_coefficients_through(self):
         c = np.random.default_rng(4).normal(size=5)
-        zeros = [Tensor(np.zeros((5, 5))) for _ in range(3)]
+        zeros = Tensor(np.zeros((15, 5)))
         block = lstb_forward(zeros, Tensor(np.eye(5)), c)
         assert block.shape == (5, 3)
         for f in range(3):
@@ -110,7 +118,7 @@ class TestLstb:
         s = rng.normal(size=(4, 4))
         g = rng.normal(size=(4, 4))
         c = rng.normal(size=4)
-        block = lstb_forward([Tensor(s)], Tensor(g), c)
+        block = lstb_forward(Tensor(s), Tensor(g), c)
         assert_allclose(block.values[:, 0], c + g @ (s @ c), rtol=1e-12)
 
     def test_feature_columns_are_independent(self):
@@ -118,9 +126,22 @@ class TestLstb:
         mats = [rng.normal(size=(3, 3)) for _ in range(4)]
         g = rng.normal(size=(3, 3))
         c = rng.normal(size=3)
-        block = lstb_forward([Tensor(m) for m in mats], Tensor(g), c)
+        block = lstb_forward(Tensor(stacked(mats)), Tensor(g), c)
         for f, m in enumerate(mats):
             assert_allclose(block.values[:, f], c + g @ (m @ c), rtol=1e-12)
+
+    def test_coefficient_block_rows_are_site_major(self):
+        """Column b of an n x B block lands in rows i B + b."""
+        rng = np.random.default_rng(27)
+        mats = [rng.normal(size=(4, 4)) for _ in range(3)]
+        g = rng.normal(size=(4, 4))
+        coeffs = rng.normal(size=(4, 2))
+        block = lstb_forward(Tensor(stacked(mats)), Tensor(g), coeffs)
+        assert block.shape == (8, 3)
+        for b in range(2):
+            c = coeffs[:, b]
+            for f, m in enumerate(mats):
+                assert_allclose(block.values[b::2, f], c + g @ (m @ c), rtol=1e-12)
 
 
 class TestNab:
@@ -142,24 +163,25 @@ class TestNab:
         assert_allclose(out.values, expected, rtol=1e-12)
 
 
+def gate_shapes(input_width, hidden):
+    """Shapes of wz, uz, bz, wr, ur, br, wh, uh, bh, wo, bo."""
+    return [(input_width, hidden), (hidden, hidden), (hidden,)] * 3 + [(hidden, 1), (1,)]
+
+
+def random_gates(rng, input_width, hidden):
+    """Per-gate weights wz, uz, bz, wr, ur, br, wh, uh, bh, wo, bo."""
+    return [Tensor(rng.normal(scale=0.5, size=s)) for s in gate_shapes(input_width, hidden)]
+
+
 def zero_rfn(input_width, hidden):
-    def z(*shape):
-        return Tensor(np.zeros(shape))
-
-    return RfnWeights(
-        z(input_width, hidden), z(hidden, hidden), z(hidden),
-        z(input_width, hidden), z(hidden, hidden), z(hidden),
-        z(input_width, hidden), z(hidden, hidden), z(hidden),
-        z(hidden, 1), z(1),
-    )
+    return RfnWeights.from_gates(*(Tensor(np.zeros(s)) for s in gate_shapes(input_width, hidden)))
 
 
-def numpy_gru(weights, x, h):
+def numpy_gru(gates, x, h):
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    vals = [w.values for w in weights]
-    wz, uz, bz, wr, ur, br, wh, uh, bh, wo, bo = vals
+    wz, uz, bz, wr, ur, br, wh, uh, bh, wo, bo = (w.values for w in gates)
     z = sig(x @ wz + h @ uz + bz)
     r = sig(x @ wr + h @ ur + br)
     cand = np.tanh(x @ wh + (r * h) @ uh + bh)
@@ -184,21 +206,17 @@ class TestRfnStep:
 
     def test_matches_numpy_reference(self):
         rng = np.random.default_rng(9)
-        weights = RfnWeights(*(Tensor(rng.normal(scale=0.5, size=s)) for s in [
-            (3, 4), (4, 4), (4,), (3, 4), (4, 4), (4,), (3, 4), (4, 4), (4,), (4, 1), (1,),
-        ]))
+        gates = random_gates(rng, 3, 4)
         x = rng.normal(size=(5, 3))
         h = rng.normal(size=(5, 4))
-        prediction, h_new = rfn_step(weights, x, h)
-        ref_pred, ref_h = numpy_gru(weights, x, h)
+        prediction, h_new = rfn_step(RfnWeights.from_gates(*gates), x, h)
+        ref_pred, ref_h = numpy_gru(gates, x, h)
         assert_allclose(prediction.values, ref_pred, rtol=1e-10)
         assert_allclose(h_new.values, ref_h, rtol=1e-10)
 
     def test_rows_evolve_independently(self):
         rng = np.random.default_rng(10)
-        weights = RfnWeights(*(Tensor(rng.normal(scale=0.5, size=s)) for s in [
-            (2, 3), (3, 3), (3,), (2, 3), (3, 3), (3,), (2, 3), (3, 3), (3,), (3, 1), (1,),
-        ]))
+        weights = RfnWeights.from_gates(*random_gates(rng, 2, 3))
         x = rng.normal(size=(4, 2))
         h = rng.normal(size=(4, 3))
         _, full = rfn_step(weights, x, h)
@@ -399,6 +417,64 @@ class TestRollout:
         base = model.rollout(observed, horizon=3)
         shuffled = permuted.rollout(observed[:, perm], horizon=3)
         assert_allclose(shuffled.all_values, base.all_values[:, perm], atol=1e-9)
+
+
+class TestBatchedRollout:
+    """A (B, tau, n) rollout is B sequences advanced together as one block."""
+
+    def sequences(self, n, batch=3, length=7, seed=30):
+        return np.random.default_rng(seed).normal(size=(batch, length, n))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda sites: UmtnModel.build(ModelConfig(levels=1), MQ, sites, seed=1),
+            lambda sites: UmtnModel.build(ModelConfig(levels=2), MQ, sites, seed=2),
+            lambda sites: DrcModel.build(DrcConfig(), MQ, sites, seed=3),
+        ],
+        ids=["umtn1", "umtn2", "drc"],
+    )
+    def test_batch_matches_separate_rollouts(self, build):
+        model = build(site_set(5, seed=31))
+        seqs = self.sequences(5)
+        batched = model.rollout(seqs[:, :3], horizon=4)
+        assert batched.all_values.shape == (3, 6, 5)
+        assert batched.predictions.shape == (3, 4, 5)
+        for b, seq in enumerate(seqs):
+            single = model.rollout(seq[:3], horizon=4)
+            assert_allclose(batched.all_values[b], single.all_values, rtol=0, atol=1e-12)
+
+    def test_teacher_draws_follow_sequence_then_step_order(self):
+        """One batch draws the stream that per-sequence rollouts draw in turn."""
+        model = small_model(levels=1, n=5)
+        seqs = self.sequences(5)
+        batched = model.rollout(
+            seqs[:, :3], 4, teacher_values=seqs[:, :6], teacher_prob=0.5, rng=np.random.default_rng(3)
+        )
+        rng = np.random.default_rng(3)
+        for b, seq in enumerate(seqs):
+            single = model.rollout(seq[:3], 4, teacher_values=seq[:6], teacher_prob=0.5, rng=rng)
+            assert_allclose(batched.all_values[b], single.all_values, rtol=0, atol=1e-12)
+        draws = np.random.default_rng(3).random((3, 3)) < 0.5
+        assert draws.any() and not draws.all()  # the mask mixes teacher and model frames
+        closed = model.rollout(seqs[:, :3], 4)
+        assert not np.allclose(batched.all_values, closed.all_values)
+
+    def test_last_level_aggregator_is_skipped(self, monkeypatch):
+        model = small_model(levels=2, n=5, seed=3)
+        observed = self.sequences(5)[:, :3]
+        calls = []
+        monkeypatch.setattr(model_module, "nab_forward", lambda *a: calls.append(1) or nab_forward(*a))
+        before = model.rollout(observed, horizon=3).all_values
+        assert len(calls) == 5  # one aggregator per step (level 1), none for level 2
+        for name in ("nab2.w0", "nab2.b0", "nab2.w1", "nab2.b1"):
+            model.params[name].values += 1.0
+        assert np.array_equal(model.rollout(observed, horizon=3).all_values, before)
+
+    def test_teacher_shape_must_match_batch(self):
+        model = small_model(levels=1, n=4)
+        with pytest.raises(ValueError, match="teacher_values"):
+            model.rollout(np.zeros((2, 3, 4)), 2, teacher_values=np.zeros((4, 4)), teacher_prob=0.5)
 
 
 class TestDrcModel:

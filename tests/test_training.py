@@ -113,6 +113,31 @@ class TestSequenceLoss:
         assert any(np.any(g != 0.0) for g in grads)
         model.params.zero_grads()
 
+    def test_batch_loss_is_sum_of_sequence_losses(self):
+        """Loss and gradients of a batch equal the mean of per-sequence ones."""
+        ds = normalize_dataset(toy_dataset(n_sequences=4, split=(2, 1, 1)))
+        model = tiny_model(ds)
+        seqs = ds.sequences[:3]
+
+        def loss_and_grads(rollout_input, teacher, targets, rng):
+            model.params.zero_grads()
+            result = model.rollout(
+                rollout_input, ds.horizon, teacher_values=teacher, teacher_prob=0.5, rng=rng, record=True
+            )
+            loss = sequence_loss(result, targets)
+            value = loss.item()
+            ad.backward(loss, model.params)
+            return value, {name: t.grad.copy() for name, t in model.params.items()}
+
+        batch_loss, batch_grads = loss_and_grads(seqs[:, :2], seqs[:, :-1], seqs[:, 1:], np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        singles = [loss_and_grads(seq[:2], seq[:-1], seq[1:], rng) for seq in seqs]
+        assert batch_loss / 3 == pytest.approx(np.mean([value for value, _ in singles]), rel=1e-10)
+        for name, grad in batch_grads.items():
+            mean = np.mean([grads[name] for _, grads in singles], axis=0)
+            assert_allclose(grad / 3, mean, rtol=1e-10, atol=1e-10, err_msg=name)
+        model.params.zero_grads()
+
 
 class TestValidationMae:
     def test_constant_predictor_oracle(self):
