@@ -26,7 +26,7 @@ from .interpolation import (
     loocv_select_kernel,
     scaled_inverse,
 )
-from .collocation import CollocationStepper, build_h, operator_matrix, solve_ivp
+from .collocation import CollocationStepper, operator_matrix, solve_ivp
 from .datagen import ConvDiffConfig, SequenceDataset, generate_dataset, simulate_convdiff
 from .autodiff import ParameterStore, Tensor, adam_step, backward, gradient_check, no_grad
 from .model import (
@@ -64,7 +64,6 @@ __all__ = [
     "loocv_select_kernel",
     "CollocationStepper",
     "operator_matrix",
-    "build_h",
     "solve_ivp",
     "ConvDiffConfig",
     "SequenceDataset",

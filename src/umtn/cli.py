@@ -136,10 +136,7 @@ def _cmd_solve(args) -> int:
         system, operator, float(config["dt"]), boundary_indices=indices, boundary_values=callback
     )
     trajectory = solve_ivp(stepper, np.asarray(config["initial_values"], dtype=float), float(config["t_end"]))
-    result = {
-        "times": [point.time for point in trajectory],
-        "values": [point.values.tolist() for point in trajectory],
-    }
+    result = {"times": trajectory.times.tolist(), "values": trajectory.values.tolist()}
     storage.save_json(result, _require_out(args))
     print(f"solved {len(trajectory) - 1} steps over {sites.shape[0]} sites")
     return 0

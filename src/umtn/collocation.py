@@ -1,21 +1,23 @@
-"""Discrete-time RBF collocation for time-dependent linear PDEs.
+"""Discrete-time RBF collocation for time-dependent linear PDEs, in value space.
 
-One step advances the coefficient vector through Phi c_{t+dt} = H c_t with
-H = Phi + dt * (operator applied to the kernel).  Dirichlet conditions are
-imposed by replacing the corresponding rows of the right-hand side with the
-prescribed boundary values; the left-hand side keeps the interpolation rows,
-which already express "value at this site".
+The collocation step Phi c_{t+dt} = H c_t, with H = Phi + dt * (operator
+applied to the kernel), is carried out on the site values u = Phi c: since the
+new values equal the right-hand side, u_{t+dt} = P u_t with the propagator
+P = I + dt * L Phi^{-1}, where L Phi^{-1} is the RBF differentiation matrix
+(Fornberg & Flyer, A Primer on Radial Basis Functions, SIAM 2015).  Dirichlet
+conditions overwrite the boundary rows of u_{t+dt} with the prescribed values.
+Each step is one matrix-vector product; P is formed once per stepper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from collections.abc import Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NumericalError
-from .interpolation import InterpolationSystem, SiteSet, build_phi
+from .errors import DivergenceError, NumericalError
+from .interpolation import InterpolationSystem, SiteSet
 from .kernels import LinearOperatorSpec, RadialKernel, _radial_parts
 
 
@@ -50,24 +52,33 @@ def operator_matrix(kernel: RadialKernel, sites: SiteSet, op: LinearOperatorSpec
     return out
 
 
-def build_h(kernel: RadialKernel, sites: SiteSet, op: LinearOperatorSpec, dt: float) -> np.ndarray:
-    """H_ij = phi(||x_i - x_j||) + dt * L phi(||x - x_j||) at x = x_i."""
-    if dt <= 0:
-        raise ValueError("time step must be positive")
-    from .kernels import kernel_eval
-
-    phi = kernel_eval(kernel, sites.distance_matrix())
-    return phi + dt * operator_matrix(kernel, sites, op)
-
-
 class TrajectoryPoint(NamedTuple):
     time: float
     values: np.ndarray
-    coeffs: np.ndarray
+
+
+class Trajectory(Sequence):
+    """A solve's time grid and site values, one row of `values` per time.
+
+    Indexing gives a `TrajectoryPoint(time, values)` whose values are a view
+    of that row; slicing gives a `Trajectory` over the selected rows.
+    """
+
+    def __init__(self, times: np.ndarray, values: np.ndarray):
+        self.times = times
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trajectory(self.times[index], self.values[index])
+        return TrajectoryPoint(float(self.times[index]), self.values[index])
 
 
 class CollocationStepper:
-    """Immutable stepper holding Phi, H, and optional Dirichlet boundary rows."""
+    """Immutable stepper holding the propagator P and optional Dirichlet boundary rows."""
 
     def __init__(
         self,
@@ -90,48 +101,50 @@ class CollocationStepper:
         self.system = system
         self.operator = operator
         self.dt = float(dt)
-        self.h_matrix = build_h(system.kernel, system.site_set, operator, dt)
+        # L Phi^{-1} = (Phi^{-1} L^T)^T because Phi is symmetric.
+        differentiation = system.solve(operator_matrix(system.kernel, system.site_set, operator).T).T
+        self.propagator = self.dt * differentiation
+        self.propagator[np.diag_indices(system.n)] += 1.0
         self.boundary_indices = boundary_indices
         self.boundary_values = boundary_values
 
-    def _apply_boundary(self, rhs: np.ndarray, t: float) -> np.ndarray:
+    def _apply_boundary(self, values: np.ndarray, t: float) -> np.ndarray:
         if self.boundary_indices.size:
-            values = np.asarray(self.boundary_values(t), dtype=float)
-            if values.shape != (self.boundary_indices.size,):
+            prescribed = np.asarray(self.boundary_values(t), dtype=float)
+            if prescribed.shape != (self.boundary_indices.size,):
                 raise ValueError(
-                    f"boundary callback returned shape {values.shape}, "
+                    f"boundary callback returned shape {prescribed.shape}, "
                     f"expected ({self.boundary_indices.size},)"
                 )
-            rhs[self.boundary_indices] = values
-        return rhs
+            values[self.boundary_indices] = prescribed
+        return values
 
 
-def solve_ivp(stepper: CollocationStepper, initial_values: np.ndarray, t_end: float) -> list[TrajectoryPoint]:
-    """Iterate Phi c_{t+dt} = H c_t from Phi c_0 = w up to t_end.
+def solve_ivp(stepper: CollocationStepper, initial_values: np.ndarray, t_end: float) -> Trajectory:
+    """Iterate u_{t+dt} = P u_t, boundary rows then set, from u_0 up to t_end.
 
-    Returns the trajectory including t=0; each point carries both the site
-    values Phi c_t (the contract) and the raw coefficients (diagnostics).
-    t_end must be a positive integer multiple of the stepper's dt.
+    Returns a `Trajectory` whose `times` has shape (steps + 1,) and whose
+    `values` has shape (steps + 1, n), including t=0.  No coefficients are
+    kept: those of step k are `stepper.system.solve(trajectory.values[k])`.
+    t_end must be a positive integer multiple of the stepper's dt.  Raises
+    `DivergenceError` with `at_time` at the first step whose values are not
+    finite.
     """
-    system = stepper.system
+    n = stepper.system.n
     w = np.asarray(initial_values, dtype=float)
-    if w.shape != (system.n,):
-        raise ValueError(f"initial values must have shape ({system.n},), got {w.shape}")
+    if w.shape != (n,):
+        raise ValueError(f"initial values must have shape ({n},), got {w.shape}")
     steps = int(round(t_end / stepper.dt))
     if steps < 1 or abs(t_end - steps * stepper.dt) > 1e-12 * max(abs(t_end), 1.0):
         raise ValueError(f"t_end={t_end} is not a positive integer multiple of dt={stepper.dt}")
 
-    c = system.solve(w)
-    trajectory = [TrajectoryPoint(0.0, system.phi @ c, c)]
+    values = np.empty((steps + 1, n))
+    values[0] = w
     for k in range(1, steps + 1):
-        t_next = k * stepper.dt
-        rhs = stepper.h_matrix @ c
-        rhs = stepper._apply_boundary(rhs, t_next)
-        if not np.all(np.isfinite(rhs)):
-            raise NumericalError(f"collocation iteration diverged at t={t_next:.6g}")
-        c = system.solve(rhs)
-        values = system.phi @ c
-        if not np.all(np.isfinite(values)):
-            raise NumericalError(f"collocation iteration diverged at t={t_next:.6g}")
-        trajectory.append(TrajectoryPoint(t_next, values, c))
-    return trajectory
+        t = k * stepper.dt
+        row = values[k]
+        np.dot(stepper.propagator, values[k - 1], out=row)
+        stepper._apply_boundary(row, t)
+        if not np.all(np.isfinite(row)):
+            raise DivergenceError(f"collocation iteration diverged at t={t:.6g}", at_time=t)
+    return Trajectory(np.arange(steps + 1) * stepper.dt, values)

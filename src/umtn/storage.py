@@ -200,7 +200,10 @@ def load_checkpoint(path: Union[str, Path]) -> UmtnModel:
     kernel = RadialKernel.from_dict(manifest["kernel"])
     geometry = SiteGeometry(kernel, site_set, reg_lambda=manifest["reg_lambda"])
     params = UmtnModel.initialize_params(config, seed=0)
-    blob = (directory / "params.bin").read_bytes()
+    params_path = directory / "params.bin"
+    if not params_path.exists():
+        raise DataError("missing payload params.bin")
+    blob = params_path.read_bytes()
     if hashlib.sha256(blob).hexdigest() != manifest["params_sha256"]:
         raise ChecksumError("payload params.bin: checksum mismatch")
     offset = 0

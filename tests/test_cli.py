@@ -1,9 +1,13 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from umtn.cli import main
+from umtn.collocation import CollocationStepper, solve_ivp
+from umtn.interpolation import build_phi
+from umtn.kernels import KernelFamily, LinearOperatorSpec, RadialKernel
 from umtn.storage import checkpoint_extra, load_checkpoint, load_dataset, save_json
 
 GEN_CONFIG = {
@@ -188,6 +192,43 @@ class TestSolve:
         values = np.array(json.loads((tmp_path / "sol.json").read_text())["values"])
         assert values[1:, 0] == pytest.approx(2.0, abs=1e-8)
 
+    def test_output_matches_point_by_point_form(self, tmp_path, capsys):
+        config = self.solve_config(boundary={"indices": [2], "value": -1.0})
+        save_json(config, tmp_path / "solve.json")
+        code, _, _ = run(
+            capsys, "solve", "--config", str(tmp_path / "solve.json"), "--out", str(tmp_path / "sol.json")
+        )
+        assert code == 0
+        stepper = CollocationStepper(
+            build_phi(RadialKernel(KernelFamily.MULTIQUADRIC, 1.0), np.array(config["sites"])[:, None]),
+            LinearOperatorSpec(reaction=lambda point: 0.5),
+            config["dt"],
+            boundary_indices=[2],
+            boundary_values=lambda t: np.full(1, -1.0),
+        )
+        trajectory = solve_ivp(stepper, np.array(config["initial_values"]), config["t_end"])
+        expected = {
+            "times": [point.time for point in trajectory],
+            "values": [point.values.tolist() for point in trajectory],
+        }
+        assert (tmp_path / "sol.json").read_text() == json.dumps(expected, indent=2) + "\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_exit_4_reports_time(self, tmp_path, capsys):
+        config = self.solve_config(
+            sites=[0.0], dt=1.0, t_end=4.0, operator={"reaction": 1e200}, initial_values=[1.0]
+        )
+        save_json(config, tmp_path / "solve.json")
+        code, _, err = run(
+            capsys, "solve", "--config", str(tmp_path / "solve.json"), "--out", str(tmp_path / "s.json")
+        )
+        assert code == 4
+        assert len(err.strip().splitlines()) == 1
+        detail = stderr_json(err)
+        assert detail["error"] == "DivergenceError"
+        assert detail["at_time"] == 2.0
+        assert not (tmp_path / "s.json").exists()
+
     def test_missing_key_is_usage_error(self, tmp_path, capsys):
         config = self.solve_config()
         del config["operator"]
@@ -290,6 +331,26 @@ class TestEval:
         detail = stderr_json(err)
         assert detail["error"] == "DataError"
         assert detail["exit_code"] == 3
+
+
+    def test_missing_params_payload_exit_3(self, workspace, tmp_path, capsys):
+        shutil.copytree(workspace / "ck", tmp_path / "ck")
+        (tmp_path / "ck" / "params.bin").unlink()
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--data",
+            str(workspace / "ds"),
+            "--checkpoint",
+            str(tmp_path / "ck"),
+            "--out",
+            str(tmp_path / "r.json"),
+        )
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        detail = stderr_json(err)
+        assert detail["error"] == "DataError"
+        assert detail["message"] == "missing payload params.bin"
 
 
 class TestPredict:

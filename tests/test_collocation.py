@@ -1,9 +1,11 @@
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from umtn.collocation import CollocationStepper, build_h, operator_matrix, solve_ivp
-from umtn.errors import NumericalError
+from umtn.collocation import CollocationStepper, Trajectory, operator_matrix, solve_ivp
+from umtn.errors import DivergenceError, NumericalError
 from umtn.interpolation import SiteSet, build_phi
 from umtn.kernels import KernelFamily, LinearOperatorSpec, RadialKernel, kernel_eval
 
@@ -82,6 +84,27 @@ class TestOperatorMatrix:
             operator_matrix(tps, sites, op)
 
 
+def build_h(kernel, sites, op, dt):
+    """H_ij = phi(||x_i - x_j||) + dt * L phi(||x - x_j||) at x = x_i."""
+    if dt <= 0:
+        raise ValueError("time step must be positive")
+    phi = kernel_eval(kernel, sites.distance_matrix())
+    return phi + dt * operator_matrix(kernel, sites, op)
+
+
+def coefficient_space_values(stepper, initial_values, t_end):
+    """Reference stepper: rhs = H c, boundary rows set, Phi c' = rhs, u' = Phi c'."""
+    system = stepper.system
+    h = build_h(system.kernel, system.site_set, stepper.operator, stepper.dt)
+    c = system.solve(initial_values)
+    values = [system.phi @ c]
+    for k in range(1, int(round(t_end / stepper.dt)) + 1):
+        rhs = stepper._apply_boundary(h @ c, k * stepper.dt)
+        c = system.solve(rhs)
+        values.append(system.phi @ c)
+    return np.array(values)
+
+
 class TestBuildH:
     def test_zero_operator_reduces_to_phi(self):
         sites = scattered_sites(7, 2, seed=4)
@@ -114,7 +137,7 @@ class TestSolveIvp:
         trajectory = solve_ivp(stepper, u0, t_end=0.5)
         assert len(trajectory) == 6
         for point in trajectory:
-            assert_allclose(point.values, u0, atol=1e-9)
+            assert np.array_equal(point.values, u0)
 
     def test_times_are_uniform_grid(self):
         sites = scattered_sites(4, 1, seed=9)
@@ -152,8 +175,61 @@ class TestSolveIvp:
         sites = SiteSet(np.array([[0.0]]))
         op = LinearOperatorSpec(reaction=lambda p: 1e300)
         stepper = make_stepper(sites, op, dt=1.0)
-        with pytest.raises(NumericalError, match="diverged"):
+        with pytest.raises(NumericalError, match="diverged") as info:
             solve_ivp(stepper, np.array([1.0]), t_end=4.0)
+        assert isinstance(info.value, DivergenceError)
+        assert info.value.at_time == 2.0
+
+    def test_trajectory_rows_are_points(self):
+        sites = scattered_sites(5, 2, seed=18)
+        op = LinearOperatorSpec(diffusion=lambda p: 0.2)
+        trajectory = solve_ivp(make_stepper(sites, op, dt=0.1), np.ones(5), t_end=0.3)
+        assert isinstance(trajectory, Sequence)
+        assert trajectory.times.shape == (4,) and trajectory.values.shape == (4, 5)
+        for k, point in enumerate(trajectory):
+            assert point.time == trajectory.times[k]
+            assert np.array_equal(point.values, trajectory.values[k])
+        tail = trajectory[2:]
+        assert isinstance(tail, Trajectory) and len(tail) == 2
+        assert np.array_equal(tail[-1].values, trajectory[-1].values)
+
+
+class TestCoefficientSpaceOracle:
+    """The value-space step agrees with the three-pass H c -> solve -> Phi c step."""
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_heat_config(self):
+        n = 25
+        sites = SiteSet(np.linspace(0.0, np.pi, n)[:, None])
+        stepper = make_stepper(
+            sites,
+            LinearOperatorSpec(diffusion=lambda p: 1.0),
+            dt=1e-3,
+            boundary_indices=[0, n - 1],
+            boundary_values=lambda t: np.zeros(2),
+        )
+        u0 = np.sin(sites.sites[:, 0])
+        values = solve_ivp(stepper, u0, t_end=0.1).values
+        assert np.max(np.abs(values - coefficient_space_values(stepper, u0, 0.1))) <= 1e-9
+
+    def test_two_dimensional_time_dependent_boundary(self):
+        sites = scattered_sites(12, 2, seed=19)
+        boundary = [0, 3, 5, 8]
+        op = LinearOperatorSpec(
+            convection=lambda p: np.array([0.4, -0.3]),
+            diffusion=lambda p: 0.2,
+            reaction=lambda p: -0.1,
+        )
+        stepper = make_stepper(
+            sites,
+            op,
+            dt=0.01,
+            boundary_indices=boundary,
+            boundary_values=lambda t: np.cos(t) * sites.sites[boundary, 0],
+        )
+        u0 = np.sin(sites.sites[:, 0]) * np.cos(sites.sites[:, 1])
+        values = solve_ivp(stepper, u0, t_end=0.2).values
+        assert np.max(np.abs(values - coefficient_space_values(stepper, u0, 0.2))) <= 1e-11
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
