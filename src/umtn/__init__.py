@@ -22,7 +22,6 @@ from .interpolation import (
     SiteSet,
     build_phi,
     evaluate_interpolant,
-    fit_coefficients,
     loocv_select_kernel,
     scaled_inverse,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "SiteSet",
     "InterpolationSystem",
     "build_phi",
-    "fit_coefficients",
     "evaluate_interpolant",
     "scaled_inverse",
     "loocv_select_kernel",

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,15 +29,6 @@ MAX_MODE = 9
 COEFF_VARIANCE = 0.02
 # Largest diffusion coefficient of the benchmark fields, for the stability bound.
 MAX_DIFFUSION = 0.5
-
-
-def coefficient_fields(point) -> tuple[float, float, float]:
-    """The convection components a, b and diffusion c at one point of [0, 2*pi]^2."""
-    x, y = float(point[0]), float(point[1])
-    a = 0.5 * (math.cos(y) + x * (2.0 * math.pi - x) * math.sin(x)) + 0.6
-    b = 2.0 * (math.cos(y) + math.sin(x)) + 0.8
-    c = 0.5 * (1.0 - math.sqrt((x - math.pi) ** 2 + (y - math.pi) ** 2) / (math.sqrt(2.0) * math.pi))
-    return a, b, c
 
 
 @dataclass
@@ -128,6 +118,7 @@ def grid_coordinates(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _field_grids(grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The convection components a, b and diffusion c at every grid node."""
     xs, ys = grid_coordinates(grid_size)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     a = 0.5 * (np.cos(Y) + X * (2.0 * np.pi - X) * np.sin(X)) + 0.6
@@ -161,19 +152,8 @@ class FourierInitialCondition:
         zeta = rng.normal(0.0, std, size=(size, size))
         return cls(lam, zeta)
 
-    def evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Evaluate the double sum at broadcastable coordinate arrays."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        modes = np.arange(-MAX_MODE, MAX_MODE + 1)
-        out = np.zeros(np.broadcast(x, y).shape)
-        for ki, k in enumerate(modes):
-            for li, l in enumerate(modes):
-                angle = k * x + l * y
-                out += self.lambda_kl[ki, li] * np.cos(angle) + self.zeta_kl[ki, li] * np.sin(angle)
-        return out
-
     def on_grid(self, grid_size: int) -> np.ndarray:
+        """Evaluate the double sum at every node of the periodic grid."""
         cos_basis, sin_basis = _mode_bases(grid_size)
         flat = self.lambda_kl.ravel() @ cos_basis + self.zeta_kl.ravel() @ sin_basis
         return flat.reshape(grid_size, grid_size)

@@ -1,10 +1,12 @@
 """Site geometry, the RBF interpolation matrix, regularized fits, and LOOCV.
 
 The interpolation matrix Phi has entries phi(||x_i - x_j||).  For distinct
-sites and the supported kernels it is nonsingular, so exact interpolation
-solves Phi c = u directly; the regularized path solves the ridge normal
-equations (Phi^T Phi + lambda I) c = Phi^T u, which is what the learned model
-uses on noisy-ish measurement vectors.
+sites and the supported kernels it is symmetric and nonsingular, so one
+eigendecomposition Phi = Q diag(w) Q^T serves every use: exact interpolation
+c = Q diag(1/w) Q^T u, and the ridge fit minimizing ||Phi c - u||^2 +
+lambda ||c||^2, c = Q diag(w / (w^2 + lambda)) Q^T u, which is what the
+learned model uses on noisy-ish measurement vectors.  The spectral filter
+never forms Phi^T Phi, so the fit keeps the conditioning of Phi itself.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ from __future__ import annotations
 import hashlib
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lu_factor, lu_solve
 from scipy.spatial.distance import cdist
 
 from .errors import ConditioningError, DataError
@@ -68,17 +69,14 @@ class SiteSet:
         h.update(self.sites.tobytes())
         return h.hexdigest()
 
-    def subset(self, indices) -> "SiteSet":
-        return SiteSet(self.sites[np.asarray(indices, dtype=int)])
-
 
 class InterpolationSystem:
-    """The matrix Phi for one (kernel, site set) pair, with cached solves.
+    """The matrix Phi for one (kernel, site set) pair and its eigendecomposition.
 
-    Construction computes the LU factorization, a 2-norm condition estimate
-    (guarded by COND_WARN / COND_FAIL), and the inverse scaled so its largest
-    absolute entry is exactly 1.  Instances are immutable in practice: fits
-    and evaluations never mutate state other than the factorization caches.
+    Construction computes Phi = Q diag(w) Q^T once with `np.linalg.eigh`; the
+    2-norm condition estimate max|w| / min|w| (guarded by COND_WARN /
+    COND_FAIL), `solve`, every `fit_matrix` and the scaled inverse are all
+    read from (w, Q).  Instances are immutable in practice.
     """
 
     def __init__(self, kernel: RadialKernel, site_set: SiteSet, reg_lambda: float = 0.0):
@@ -88,7 +86,10 @@ class InterpolationSystem:
         self.site_set = site_set
         self.reg_lambda = float(reg_lambda)
         self.phi = kernel_eval(kernel, site_set.distance_matrix())
-        cond = float(np.linalg.cond(self.phi))
+        self._eigenvalues, self._eigenvectors = np.linalg.eigh(self.phi)
+        magnitudes = np.abs(self._eigenvalues)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = float(magnitudes.max() / magnitudes.min())
         if not np.isfinite(cond) or cond > COND_FAIL:
             raise ConditioningError(
                 f"interpolation matrix condition estimate {cond:.3e} exceeds {COND_FAIL:.0e}",
@@ -100,38 +101,29 @@ class InterpolationSystem:
                 stacklevel=2,
             )
         self.condition_estimate = cond
-        self._lu = lu_factor(self.phi)
-        self._ridge_cache: dict[float, tuple] = {}
-        inv = lu_solve(self._lu, np.eye(site_set.n))
-        self._inverse = inv
-        self._inverse_scale = float(np.max(np.abs(inv)))
-        self._scaled_inverse = inv / self._inverse_scale
 
     @property
     def n(self) -> int:
         return self.site_set.n
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve Phi c = rhs (exact interpolation)."""
+        """Solve Phi c = rhs (exact interpolation); rhs may carry trailing columns."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.n:
             raise ValueError(f"rhs has leading dimension {rhs.shape[0]}, expected {self.n}")
-        return lu_solve(self._lu, rhs)
-
-    def _ridge_factor(self, lam: float):
-        factor = self._ridge_cache.get(lam)
-        if factor is None:
-            gram = self.phi.T @ self.phi + lam * np.eye(self.n)
-            factor = cho_factor(gram)
-            self._ridge_cache[lam] = factor
-        return factor
+        q = self._eigenvectors
+        return (q / self._eigenvalues) @ (q.T @ rhs)
 
     def fit_matrix(self, lam: float | None = None) -> np.ndarray:
-        """The linear map u -> c of the lambda-regularized fit, as a dense matrix."""
+        """The map u -> c minimizing ||Phi c - u||^2 + lam ||c||^2, as a dense matrix.
+
+        Q diag(w / (w^2 + lam)) Q^T; at lam = 0 this is Phi^{-1}.
+        """
         lam = self.reg_lambda if lam is None else float(lam)
-        if lam == 0.0:
-            return self._inverse.copy()
-        return cho_solve(self._ridge_factor(lam), self.phi.T)
+        if lam < 0:
+            raise ValueError("regularization parameter must be nonnegative")
+        w, q = self._eigenvalues, self._eigenvectors
+        return (q * (w / (w * w + lam))) @ q.T
 
 
 def build_phi(kernel: RadialKernel, sites: SiteSet | np.ndarray, reg_lambda: float = 0.0) -> InterpolationSystem:
@@ -139,24 +131,6 @@ def build_phi(kernel: RadialKernel, sites: SiteSet | np.ndarray, reg_lambda: flo
     if not isinstance(sites, SiteSet):
         sites = SiteSet(sites)
     return InterpolationSystem(kernel, sites, reg_lambda=reg_lambda)
-
-
-def fit_coefficients(system: InterpolationSystem, values: np.ndarray, reg_lambda: float | None = None) -> np.ndarray:
-    """Solve for coefficients minimizing ||Phi c - u||^2 + lambda ||c||^2.
-
-    With lambda = 0 this is the exact interpolation solve.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (system.n,):
-        raise ValueError(f"values must have shape ({system.n},), got {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("values contain non-finite entries")
-    lam = system.reg_lambda if reg_lambda is None else float(reg_lambda)
-    if lam < 0:
-        raise ValueError("regularization parameter must be nonnegative")
-    if lam == 0.0:
-        return system.solve(values)
-    return cho_solve(system._ridge_factor(lam), system.phi.T @ values)
 
 
 def evaluate_interpolant(
@@ -175,12 +149,13 @@ def evaluate_interpolant(
 
 def scaled_inverse(system: InterpolationSystem) -> np.ndarray:
     """Phi^{-1} divided by its largest absolute entry, so max-abs is exactly 1."""
-    return system._scaled_inverse.copy()
+    inverse = system.fit_matrix(0.0)
+    return inverse / np.max(np.abs(inverse))
 
 
 def inverse_scale_factor(system: InterpolationSystem) -> float:
-    """The max-abs entry of Phi^{-1} that `scaled_inverse` divided out."""
-    return system._inverse_scale
+    """The max-abs entry of Phi^{-1} that `scaled_inverse` divides out."""
+    return float(np.max(np.abs(system.fit_matrix(0.0))))
 
 
 @dataclass(frozen=True)
@@ -202,12 +177,15 @@ def loocv_select_kernel(
 ) -> tuple[RadialKernel, list[LoocvScore]]:
     """Pick the kernel with the lowest leave-one-out prediction error.
 
-    For every training snapshot one seeded-random site is left out; the
+    For every training snapshot one seeded-random site k is left out; the
     remaining n-1 values are interpolated exactly and the interpolant is
-    evaluated at the held-out site.  The score per candidate is the mean
-    absolute error over all snapshots.  Candidates whose reduced systems are
-    singular or too ill-conditioned are penalized with +inf rather than
-    aborting the search.  Ties break in candidate order.
+    evaluated at site k.  Rippa's closed form (S. Rippa, Adv. Comput. Math. 11,
+    1999) gives that error from the full system alone: it is c_k / (Phi^{-1})_kk
+    with c = Phi^{-1} u, so each candidate builds Phi on all n sites once.  The
+    score per candidate is the mean absolute error over all snapshots.  A
+    candidate scores +inf, rather than aborting the search, when building Phi
+    on all n sites raises ConditioningError or LinAlgError, or when any
+    snapshot's error is non-finite.  Ties break in candidate order.
     """
     candidates = list(candidates)
     if not candidates:
@@ -229,20 +207,12 @@ def loocv_select_kernel(
 
 
 def _loocv_error(kernel, sites, snapshots, left_out) -> float:
-    errors = np.empty(snapshots.shape[0])
-    # Group snapshots by the held-out site so each reduced system is factored once.
-    for i in np.unique(left_out):
-        rows = np.flatnonzero(left_out == i)
-        keep = np.delete(np.arange(sites.n), i)
-        reduced = sites.subset(keep)
-        try:
-            system = build_phi(kernel, reduced)
-        except (ConditioningError, np.linalg.LinAlgError):
-            return np.inf
-        coeffs = system.solve(snapshots[np.ix_(rows, keep)].T)
-        basis = kernel_eval(kernel, cdist(sites.sites[i : i + 1], reduced.sites))
-        predicted = (basis @ coeffs)[0]
-        errors[rows] = np.abs(predicted - snapshots[rows, i])
+    try:
+        inverse = build_phi(kernel, sites).fit_matrix(0.0)
+    except (ConditioningError, np.linalg.LinAlgError):
+        return np.inf
+    coeffs = np.einsum("sj,sj->s", inverse[left_out], snapshots)
+    errors = np.abs(coeffs / inverse[left_out, left_out])
     if not np.all(np.isfinite(errors)):
         return np.inf
     return float(errors.mean())

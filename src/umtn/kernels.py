@@ -23,17 +23,6 @@ class KernelFamily(str, enum.Enum):
     THIN_PLATE_SPLINE = "thin_plate_spline"
 
 
-# Families whose second derivative is finite everywhere; thin-plate spline is
-# singular at r=0 and therefore excluded from operator assembly at zero offset.
-SMOOTH_FAMILIES = frozenset(
-    {
-        KernelFamily.MULTIQUADRIC,
-        KernelFamily.INVERSE_MULTIQUADRIC,
-        KernelFamily.GAUSSIAN,
-    }
-)
-
-
 @dataclass(frozen=True)
 class RadialKernel:
     """A radial basis function phi(r) with shape parameter epsilon.
@@ -110,62 +99,3 @@ def kernel_eval(kernel: RadialKernel, r) -> np.ndarray:
         raise ValueError("distance must be nonnegative")
     phi, _, _ = _radial_parts(kernel, r)
     return phi if phi.ndim else float(phi)
-
-
-def _offset(center, eval_point) -> np.ndarray:
-    center = np.asarray(center, dtype=float)
-    eval_point = np.asarray(eval_point, dtype=float)
-    if center.shape != eval_point.shape or center.ndim != 1:
-        raise ValueError(
-            f"center and eval_point must be 1-D of equal length, got {center.shape} vs {eval_point.shape}"
-        )
-    return eval_point - center
-
-
-def _require_operator_smooth(kernel: RadialKernel, r: float) -> None:
-    if kernel.family not in SMOOTH_FAMILIES and r == 0.0:
-        raise ValueError(f"{kernel.family.value} has no second derivative at zero offset")
-
-
-def kernel_gradient(kernel: RadialKernel, center, eval_point) -> np.ndarray:
-    """Gradient of phi(||x - center||) with respect to x, at x = eval_point."""
-    v = _offset(center, eval_point)
-    r = float(np.linalg.norm(v))
-    _require_operator_smooth(kernel, r)
-    _, por, _ = _radial_parts(kernel, np.float64(r))
-    return por * v
-
-
-def kernel_laplacian(kernel: RadialKernel, center, eval_point) -> float:
-    """Laplacian of phi(||x - center||) with respect to x, at x = eval_point."""
-    v = _offset(center, eval_point)
-    r = float(np.linalg.norm(v))
-    _require_operator_smooth(kernel, r)
-    _, por, second = _radial_parts(kernel, np.float64(r))
-    return float(second + (len(v) - 1) * por)
-
-
-def kernel_operator_apply(
-    kernel: RadialKernel, op: LinearOperatorSpec, center, eval_point
-) -> float:
-    """Apply the operator to phi(||x - center||) and evaluate at x = eval_point.
-
-    Returns a(x).grad phi + c(x)*laplacian phi + reaction(x)*phi with all
-    coefficient fields evaluated at the evaluation point.
-    """
-    v = _offset(center, eval_point)
-    r = float(np.linalg.norm(v))
-    _require_operator_smooth(kernel, r)
-    phi, por, second = _radial_parts(kernel, np.float64(r))
-    x = np.asarray(eval_point, dtype=float)
-    total = 0.0
-    if op.convection is not None:
-        a = np.asarray(op.convection(x), dtype=float)
-        if a.shape != v.shape:
-            raise ValueError(f"convection field returned shape {a.shape}, expected {v.shape}")
-        total += float(a @ (por * v))
-    if op.diffusion is not None:
-        total += float(op.diffusion(x)) * float(second + (len(v) - 1) * por)
-    if op.reaction is not None:
-        total += float(op.reaction(x)) * float(phi)
-    return total

@@ -26,6 +26,13 @@ from .model import ModelConfig, SiteGeometry, UmtnModel
 
 FORMAT_VERSION = 1
 
+# Keys each kind of manifest must carry, and the payloads it must describe.
+_MANIFEST_KEYS = {
+    "dataset": "dim n_sites n_sequences sequence_length tau split normalized mean variance seed payloads".split(),
+    "checkpoint": "model_config kernel reg_lambda site_hash parameters params_sha256 payloads".split(),
+}
+_MANIFEST_PAYLOADS = {"dataset": ("sites.bin", "sequences.bin"), "checkpoint": ("sites.bin",)}
+
 
 class ChecksumError(DataError):
     pass
@@ -95,11 +102,21 @@ def _load_manifest(directory: Path, kind: str) -> dict:
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"manifest.json is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"manifest.json holds a JSON {type(manifest).__name__}, expected an object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionError(f"unsupported format version {version!r}")
     if manifest.get("kind") != kind:
         raise DataError(f"expected a {kind} directory, found kind={manifest.get('kind')!r}")
+    missing = [key for key in _MANIFEST_KEYS[kind] if key not in manifest]
+    payloads = manifest.get("payloads")
+    for name in _MANIFEST_PAYLOADS[kind]:
+        meta = payloads.get(name) if isinstance(payloads, dict) else None
+        if not (isinstance(meta, dict) and "shape" in meta and "sha256" in meta):
+            missing.append(f"payloads[{name}]")
+    if missing:
+        raise DataError(f"{kind} manifest lacks {', '.join(missing)}")
     return manifest
 
 

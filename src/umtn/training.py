@@ -68,16 +68,6 @@ class TrainConfig:
         return cls(**data)
 
 
-def normalize_dataset(dataset: SequenceDataset) -> SequenceDataset:
-    """Shift and scale every split by the raw training split's mean and std."""
-    return dataset.normalize()
-
-
-def denormalize(values: np.ndarray, dataset: SequenceDataset) -> np.ndarray:
-    """Invert normalize_dataset's transform using the stored statistics."""
-    return dataset.denormalize_values(values)
-
-
 def scheduled_sampling_prob(epoch: int, k: float = 50.0) -> float:
     """Inverse sigmoid teacher-forcing schedule k / (k + exp(epoch / k))."""
     if epoch < 0 or k <= 0:
@@ -145,7 +135,7 @@ def train_loop(model: UmtnModel, dataset: SequenceDataset, config: TrainConfig) 
             f"dataset provides tau={dataset.tau}, horizon={dataset.horizon}; "
             f"config asks for tau={config.tau}, horizon={config.horizon}"
         )
-    dataset = normalize_dataset(dataset)
+    dataset = dataset.normalize()
     train_idx = dataset.split_indices("train")
     if train_idx.size == 0 or dataset.split_indices("val").size == 0:
         raise ConfigError("training and validation splits must be nonempty")

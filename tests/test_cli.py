@@ -352,6 +352,44 @@ class TestEval:
         assert detail["error"] == "DataError"
         assert detail["message"] == "missing payload params.bin"
 
+    def test_manifest_missing_key_exit_3(self, workspace, tmp_path, capsys):
+        shutil.copytree(workspace / "ck", tmp_path / "ck")
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        del manifest["site_hash"]
+        (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--data",
+            str(workspace / "ds"),
+            "--checkpoint",
+            str(tmp_path / "ck"),
+            "--out",
+            str(tmp_path / "r.json"),
+        )
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        detail = stderr_json(err)
+        assert detail["error"] == "DataError"
+        assert detail["message"] == "checkpoint manifest lacks site_hash"
+
+    def test_manifest_not_an_object_exit_3(self, workspace, tmp_path, capsys):
+        shutil.copytree(workspace / "ds", tmp_path / "ds")
+        (tmp_path / "ds" / "manifest.json").write_text("[]")
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--data",
+            str(tmp_path / "ds"),
+            "--checkpoint",
+            str(workspace / "ck"),
+            "--out",
+            str(tmp_path / "r.json"),
+        )
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        assert stderr_json(err)["error"] == "DataError"
+
 
 class TestPredict:
     def test_forecast_payload(self, workspace, tmp_path, capsys):

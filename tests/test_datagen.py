@@ -13,7 +13,6 @@ from umtn.datagen import (
     _field_grids,
     _rhs,
     _simulate_batch,
-    coefficient_fields,
     generate_dataset,
     grid_coordinates,
     sample_initial_condition,
@@ -23,6 +22,28 @@ from umtn.errors import ConfigError, DivergenceError
 from umtn.interpolation import SiteSet
 
 SIZE = 2 * MAX_MODE + 1
+
+
+def coefficient_fields(point) -> tuple[float, float, float]:
+    """The convection components a, b and diffusion c at one point, from the formulas."""
+    x, y = float(point[0]), float(point[1])
+    a = 0.5 * (math.cos(y) + x * (2.0 * math.pi - x) * math.sin(x)) + 0.6
+    b = 2.0 * (math.cos(y) + math.sin(x)) + 0.8
+    c = 0.5 * (1.0 - math.sqrt((x - math.pi) ** 2 + (y - math.pi) ** 2) / (math.sqrt(2.0) * math.pi))
+    return a, b, c
+
+
+def evaluate_pointwise(ic, x, y):
+    """The initial condition's double sum at broadcastable coordinate arrays, mode by mode."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    modes = np.arange(-MAX_MODE, MAX_MODE + 1)
+    out = np.zeros(np.broadcast(x, y).shape)
+    for ki, k in enumerate(modes):
+        for li, l in enumerate(modes):
+            angle = k * x + l * y
+            out += ic.lambda_kl[ki, li] * np.cos(angle) + ic.zeta_kl[ki, li] * np.sin(angle)
+    return out
 
 
 def small_config(**overrides):
@@ -42,13 +63,13 @@ def small_config(**overrides):
 
 class TestCoefficientFields:
     def test_center_values(self):
-        a, b, c = coefficient_fields((math.pi, math.pi))
+        a, b, c = (field[4, 4] for field in _field_grids(8))  # node (pi, pi)
         assert a == pytest.approx(0.1, abs=1e-12)
         assert b == pytest.approx(-1.2, abs=1e-12)
         assert c == pytest.approx(0.5, abs=1e-12)
 
     def test_origin_values(self):
-        a, b, c = coefficient_fields((0.0, 0.0))
+        a, b, c = (field[0, 0] for field in _field_grids(8))
         assert a == pytest.approx(1.1, abs=1e-12)
         assert b == pytest.approx(2.8, abs=1e-12)
         assert c == pytest.approx(0.0, abs=1e-12)  # corner is sqrt(2)*pi from the center
@@ -66,7 +87,7 @@ class TestFourierInitialCondition:
     def test_zero_coefficients_give_zero_field(self):
         ic = FourierInitialCondition(np.zeros((SIZE, SIZE)), np.zeros((SIZE, SIZE)))
         assert np.all(ic.on_grid(12) == 0.0)
-        assert ic.evaluate(np.array([1.0]), np.array([2.0]))[0] == 0.0
+        assert evaluate_pointwise(ic, np.array([1.0]), np.array([2.0]))[0] == 0.0
 
     def test_constant_mode(self):
         lam = np.zeros((SIZE, SIZE))
@@ -77,22 +98,22 @@ class TestFourierInitialCondition:
     def test_value_at_origin_is_cosine_coefficient_sum(self):
         rng = np.random.default_rng(5)
         ic = FourierInitialCondition.sample(rng)
-        value = ic.evaluate(np.array([0.0]), np.array([0.0]))[0]
+        value = ic.on_grid(6)[0, 0]
         assert value == pytest.approx(ic.lambda_kl.sum(), rel=1e-12)
 
     def test_periodic_in_both_axes(self):
         ic = FourierInitialCondition.sample(np.random.default_rng(6))
         x = np.linspace(0, 2 * np.pi, 7)
         y = np.linspace(0, 2 * np.pi, 7)
-        base = ic.evaluate(x, y)
-        assert_allclose(ic.evaluate(x + 2 * np.pi, y), base, atol=1e-9)
-        assert_allclose(ic.evaluate(x, y - 2 * np.pi), base, atol=1e-9)
+        base = evaluate_pointwise(ic, x, y)
+        assert_allclose(evaluate_pointwise(ic, x + 2 * np.pi, y), base, atol=1e-9)
+        assert_allclose(evaluate_pointwise(ic, x, y - 2 * np.pi), base, atol=1e-9)
 
     def test_on_grid_matches_evaluate(self):
         ic = FourierInitialCondition.sample(np.random.default_rng(7))
         xs, ys = grid_coordinates(9)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        assert_allclose(ic.on_grid(9), ic.evaluate(X, Y), atol=1e-10)
+        assert_allclose(ic.on_grid(9), evaluate_pointwise(ic, X, Y), atol=1e-10)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):

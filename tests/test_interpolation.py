@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import cdist
 
 from umtn.datagen import SequenceDataset
 from umtn.errors import ConditioningError, DataError
@@ -10,12 +11,11 @@ from umtn.interpolation import (
     SiteSet,
     build_phi,
     evaluate_interpolant,
-    fit_coefficients,
     inverse_scale_factor,
     loocv_select_kernel,
     scaled_inverse,
 )
-from umtn.kernels import KernelFamily, RadialKernel
+from umtn.kernels import KernelFamily, RadialKernel, kernel_eval
 
 MQ1 = RadialKernel(KernelFamily.MULTIQUADRIC, 1.0)
 
@@ -23,6 +23,12 @@ MQ1 = RadialKernel(KernelFamily.MULTIQUADRIC, 1.0)
 def random_sites(n, d, seed, low=0.0, high=4.0):
     rng = np.random.default_rng(seed)
     return SiteSet(rng.uniform(low, high, (n, d)))
+
+
+def grid_sites(n, grid_size, seed):
+    """n distinct nodes of a grid_size x grid_size grid on [0, 2*pi)^2."""
+    idx = np.random.default_rng(seed).choice(grid_size * grid_size, size=n, replace=False)
+    return SiteSet(np.stack(np.unravel_index(idx, (grid_size, grid_size)), axis=1) * (2 * np.pi / grid_size))
 
 
 class TestSiteSet:
@@ -75,11 +81,16 @@ class TestBuildPhi:
         with pytest.warns(UserWarning, match="condition"):
             build_phi(MQ1, sites)
 
+    def test_condition_estimate_matches_svd(self):
+        """max|w| / min|w| of the eigenvalues is the 2-norm condition number."""
+        system = build_phi(RadialKernel(KernelFamily.MULTIQUADRIC, 0.5), grid_sites(180, 50, seed=1))
+        assert system.condition_estimate == pytest.approx(np.linalg.cond(system.phi), rel=1e-9)
+
 
 class TestFitCoefficients:
     def test_phi_column_gives_unit_vector(self):
         system = build_phi(MQ1, random_sites(6, 2, seed=4).sites)
-        c = fit_coefficients(system, system.phi[:, 2])
+        c = system.solve(system.phi[:, 2])
         expected = np.zeros(6)
         expected[2] = 1.0
         assert_allclose(c, expected, atol=1e-9)
@@ -87,13 +98,13 @@ class TestFitCoefficients:
     def test_scalar_ridge_case(self):
         """One site, phi=[[1]]: (1 + lambda) c = u gives c = 1/1.01."""
         system = build_phi(MQ1, np.array([[0.0]]))
-        c = fit_coefficients(system, np.array([1.0]), reg_lambda=0.01)
+        c = system.fit_matrix(0.01) @ np.array([1.0])
         assert_allclose(c, [1.0 / 1.01], rtol=1e-12)
 
     def test_interpolation_residual_small(self):
         system = build_phi(MQ1, random_sites(10, 2, seed=5).sites)
         u = np.random.default_rng(6).normal(size=10)
-        c = fit_coefficients(system, u)
+        c = system.solve(u)
         assert np.max(np.abs(system.phi @ c - u)) < 1e-8
 
     def test_regularization_shrinks_coefficients(self):
@@ -101,15 +112,10 @@ class TestFitCoefficients:
         system = build_phi(MQ1, random_sites(12, 2, seed=7).sites)
         u = np.random.default_rng(8).normal(size=12)
         norms = [
-            np.linalg.norm(fit_coefficients(system, u, reg_lambda=lam))
+            np.linalg.norm(system.fit_matrix(lam) @ u)
             for lam in (0.0, 1e-4, 1e-2, 1.0, 100.0)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
-
-    def test_non_finite_values_rejected(self):
-        system = build_phi(MQ1, np.array([[0.0], [1.0]]))
-        with pytest.raises(ValueError):
-            fit_coefficients(system, np.array([1.0, np.inf]))
 
     def test_fit_matrix_matches_normal_equations(self):
         """Dual route: precomputed fit matrix vs direct normal-equation solve."""
@@ -121,13 +127,36 @@ class TestFitCoefficients:
         direct = np.linalg.solve(phi.T @ phi + lam * np.eye(9), phi.T @ u)
         assert_allclose(via_matrix, direct, rtol=1e-8)
 
+    def test_fit_matrix_matches_qr_least_squares(self):
+        """The ridge fit equals the least-squares solution of [Phi; sqrt(lam) I] c = [u; 0].
+
+        lstsq factors the stacked matrix by orthogonal transformations, so it
+        never squares cond(Phi) (about 2.4e6 here) the way the normal
+        equations do.
+        """
+        system = build_phi(RadialKernel(KernelFamily.MULTIQUADRIC, 0.5), grid_sites(180, 50, seed=1))
+        lam = 1e-6
+        n = system.n
+        reference = np.linalg.lstsq(
+            np.vstack([system.phi, np.sqrt(lam) * np.eye(n)]),
+            np.vstack([np.eye(n), np.zeros((n, n))]),
+            rcond=None,
+        )[0]
+        gap = np.linalg.norm(system.fit_matrix(lam) - reference) / np.linalg.norm(reference)
+        assert gap < 1e-9
+
+    def test_negative_lambda_rejected(self):
+        system = build_phi(MQ1, np.array([[0.0], [1.0]]))
+        with pytest.raises(ValueError):
+            system.fit_matrix(-1e-3)
+
 
 class TestEvaluateInterpolant:
     def test_reproduces_fitted_values_at_sites(self):
         sites = random_sites(8, 2, seed=11)
         system = build_phi(MQ1, sites)
         u = np.random.default_rng(12).normal(size=8)
-        c = fit_coefficients(system, u)
+        c = system.solve(u)
         assert np.max(np.abs(evaluate_interpolant(MQ1, sites, c, sites.sites) - u)) < 1e-8
 
     def test_single_center_at_center(self):
@@ -166,6 +195,29 @@ class TestScaledInverse:
         system = build_phi(MQ1, random_sites(8, 2, seed=14).sites)
         product = scaled_inverse(system) * inverse_scale_factor(system) @ system.phi
         assert np.max(np.abs(product - np.eye(8))) < 1e-8
+
+
+def brute_force_loocv_error(kernel, sites, snapshots, left_out):
+    """Mean |interpolant of the other n-1 sites minus the held-out value|.
+
+    Builds and solves one reduced (n-1)-site system per held-out site; the
+    oracle for the closed form `loocv_select_kernel` uses.
+    """
+    errors = np.empty(snapshots.shape[0])
+    for i in np.unique(left_out):
+        rows = np.flatnonzero(left_out == i)
+        keep = np.delete(np.arange(sites.n), i)
+        reduced = SiteSet(sites.sites[keep])
+        try:
+            system = build_phi(kernel, reduced)
+        except (ConditioningError, np.linalg.LinAlgError):
+            return np.inf
+        coeffs = system.solve(snapshots[np.ix_(rows, keep)].T)
+        basis = kernel_eval(kernel, cdist(sites.sites[i : i + 1], reduced.sites))
+        errors[rows] = np.abs((basis @ coeffs)[0] - snapshots[rows, i])
+    if not np.all(np.isfinite(errors)):
+        return np.inf
+    return float(errors.mean())
 
 
 def make_mq2_dataset(n_steps=6, seed=42):
@@ -229,8 +281,32 @@ class TestLoocvSelection:
         )
         assert best_rev.epsilon == 2.0
 
+    def test_matches_brute_force_oracle(self):
+        """Rippa's closed form equals refitting without each held-out site."""
+        rng = np.random.default_rng(40)
+        sites = SiteSet(rng.uniform(0, 2 * np.pi, (20, 2)))
+        x, y = sites.sites.T
+        phases = rng.uniform(0, 2 * np.pi, (4, 5, 1))
+        seqs = np.sin(x + phases) * np.cos(y - phases) + 0.05 * rng.normal(size=(4, 5, 20))
+        dataset = SequenceDataset(sites, seqs, (3, 1, 0), tau=2)
+        candidates = [
+            RadialKernel(KernelFamily.MULTIQUADRIC, 0.5),
+            RadialKernel(KernelFamily.MULTIQUADRIC, 2.0),
+            RadialKernel(KernelFamily.GAUSSIAN, 1.0),
+            RadialKernel(KernelFamily.INVERSE_MULTIQUADRIC, 1.0),
+        ]
+        best, scores = loocv_select_kernel(candidates, dataset, seed=4)
+        snapshots = dataset.split_values("train").reshape(-1, sites.n)
+        left_out = np.random.default_rng(4).integers(0, sites.n, size=snapshots.shape[0])
+        expected = [brute_force_loocv_error(k, sites, snapshots, left_out) for k in candidates]
+        assert_allclose([s.mean_abs_error for s in scores], expected, rtol=1e-9)
+        assert best is candidates[int(np.argmin(expected))]
+
     def test_singular_candidate_penalized_not_fatal(self):
-        """A kernel that ruins the reduced system scores +inf, search continues."""
+        """A kernel whose full n-site system is too ill-conditioned to build scores +inf.
+
+        The search continues with the remaining candidates.
+        """
         rng = np.random.default_rng(30)
         sites = SiteSet(rng.uniform(0, 3, (6, 2)))
         seqs = rng.normal(size=(3, 4, 6))

@@ -2,18 +2,76 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from umtn.collocation import operator_matrix
+from umtn.interpolation import SiteSet
 from umtn.kernels import (
     KernelFamily,
     LinearOperatorSpec,
     RadialKernel,
+    _radial_parts,
     kernel_eval,
-    kernel_gradient,
-    kernel_laplacian,
-    kernel_operator_apply,
 )
 
 ALL_FAMILIES = list(KernelFamily)
 SMOOTH = [KernelFamily.MULTIQUADRIC, KernelFamily.INVERSE_MULTIQUADRIC, KernelFamily.GAUSSIAN]
+
+
+# Pointwise kernel derivatives: the per-pair oracle for the vectorized
+# `operator_matrix`, checked here against finite differences.
+
+
+def _offset(center, eval_point) -> np.ndarray:
+    center = np.asarray(center, dtype=float)
+    eval_point = np.asarray(eval_point, dtype=float)
+    if center.shape != eval_point.shape or center.ndim != 1:
+        raise ValueError(
+            f"center and eval_point must be 1-D of equal length, got {center.shape} vs {eval_point.shape}"
+        )
+    return eval_point - center
+
+
+def _require_operator_smooth(kernel: RadialKernel, r: float) -> None:
+    """Thin-plate spline's second derivative is singular at r=0."""
+    if kernel.family not in SMOOTH and r == 0.0:
+        raise ValueError(f"{kernel.family.value} has no second derivative at zero offset")
+
+
+def kernel_gradient(kernel: RadialKernel, center, eval_point) -> np.ndarray:
+    """Gradient of phi(||x - center||) with respect to x, at x = eval_point."""
+    v = _offset(center, eval_point)
+    r = float(np.linalg.norm(v))
+    _require_operator_smooth(kernel, r)
+    _, por, _ = _radial_parts(kernel, np.float64(r))
+    return por * v
+
+
+def kernel_laplacian(kernel: RadialKernel, center, eval_point) -> float:
+    """Laplacian of phi(||x - center||) with respect to x, at x = eval_point."""
+    v = _offset(center, eval_point)
+    r = float(np.linalg.norm(v))
+    _require_operator_smooth(kernel, r)
+    _, por, second = _radial_parts(kernel, np.float64(r))
+    return float(second + (len(v) - 1) * por)
+
+
+def kernel_operator_apply(kernel: RadialKernel, op: LinearOperatorSpec, center, eval_point) -> float:
+    """a(x).grad phi + c(x)*laplacian phi + reaction(x)*phi of phi(||x - center||) at x = eval_point."""
+    v = _offset(center, eval_point)
+    r = float(np.linalg.norm(v))
+    _require_operator_smooth(kernel, r)
+    phi, por, second = _radial_parts(kernel, np.float64(r))
+    x = np.asarray(eval_point, dtype=float)
+    total = 0.0
+    if op.convection is not None:
+        a = np.asarray(op.convection(x), dtype=float)
+        if a.shape != v.shape:
+            raise ValueError(f"convection field returned shape {a.shape}, expected {v.shape}")
+        total += float(a @ (por * v))
+    if op.diffusion is not None:
+        total += float(op.diffusion(x)) * float(second + (len(v) - 1) * por)
+    if op.reaction is not None:
+        total += float(op.reaction(x)) * float(phi)
+    return total
 
 
 def fd_gradient(kernel, center, point, step=1e-5):
@@ -227,3 +285,21 @@ class TestOperatorApply:
             3.0 * kernel_eval(kernel, r),
             rtol=1e-12,
         )
+
+    def test_operator_matrix_matches_pointwise_oracle(self):
+        """Entry (i, j) of operator_matrix applies L at site i to the kernel centered at site j."""
+        rng = np.random.default_rng(12)
+        op = LinearOperatorSpec(
+            convection=lambda p: np.array([np.cos(p[1]) + 0.5, p[0] * p[1] - 1.0]),
+            diffusion=lambda p: 0.3 + 0.1 * np.sin(p[0]),
+            reaction=lambda p: -0.4 * p[1],
+        )
+        for family in SMOOTH:
+            kernel = RadialKernel(family, 0.9)
+            sites = SiteSet(rng.uniform(0.0, 2.0, (9, 2)))
+            matrix = operator_matrix(kernel, sites, op)
+            expected = [
+                [kernel_operator_apply(kernel, op, sites.sites[j], sites.sites[i]) for j in range(sites.n)]
+                for i in range(sites.n)
+            ]
+            assert_allclose(matrix, expected, rtol=1e-12, atol=1e-12)

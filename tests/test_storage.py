@@ -151,6 +151,23 @@ class TestDatasetCorruption:
         with pytest.raises(DataError, match="JSON"):
             load_dataset(saved)
 
+    @pytest.mark.parametrize("key", ["payloads", "tau", "split"])
+    def test_manifest_missing_key(self, saved, key):
+        patch_manifest(saved, lambda m: m.pop(key))
+        with pytest.raises(DataError, match=f"dataset manifest lacks {key}"):
+            load_dataset(saved)
+
+    def test_manifest_missing_payload_entry(self, saved):
+        patch_manifest(saved, lambda m: m["payloads"].pop("sequences.bin"))
+        with pytest.raises(DataError, match=r"lacks payloads\[sequences.bin\]"):
+            load_dataset(saved)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "null", "3"])
+    def test_manifest_not_an_object(self, saved, text):
+        (saved / "manifest.json").write_text(text)
+        with pytest.raises(DataError, match="expected an object"):
+            load_dataset(saved)
+
     def test_manifest_missing(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(DataError, match="manifest"):
@@ -238,6 +255,13 @@ class TestCheckpoint:
 
         patch_manifest(tmp_path / "ck", bump)
         with pytest.raises(DataError, match="parameter names"):
+            load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("key", ["site_hash", "parameters", "payloads"])
+    def test_manifest_missing_key(self, tmp_path, key):
+        save_checkpoint(sample_model(), tmp_path / "ck")
+        patch_manifest(tmp_path / "ck", lambda m: m.pop(key))
+        with pytest.raises(DataError, match=f"checkpoint manifest lacks {key}"):
             load_checkpoint(tmp_path / "ck")
 
     def test_trailing_bytes_rejected(self, tmp_path):

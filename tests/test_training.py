@@ -12,8 +12,6 @@ from umtn.kernels import KernelFamily, RadialKernel
 from umtn.model import ModelConfig, UmtnModel
 from umtn.training import (
     TrainConfig,
-    denormalize,
-    normalize_dataset,
     scheduled_sampling_prob,
     sequence_loss,
     train_loop,
@@ -79,21 +77,15 @@ class TestScheduledSampling:
 
 
 class TestNormalizationHelpers:
-    def test_normalize_dataset_delegates(self):
-        ds = toy_dataset()
-        norm = normalize_dataset(ds)
-        assert norm.normalized
-        assert abs(norm.split_values("train").mean()) < 1e-8
-
     def test_denormalize_round_trip(self):
         ds = toy_dataset(scale=3.0)
-        norm = normalize_dataset(ds)
-        assert_allclose(denormalize(norm.sequences, norm), ds.sequences, atol=1e-12)
+        norm = ds.normalize()
+        assert_allclose(norm.denormalize_values(norm.sequences), ds.sequences, atol=1e-12)
 
 
 class TestSequenceLoss:
     def test_equals_direct_sum(self):
-        ds = normalize_dataset(toy_dataset())
+        ds = toy_dataset().normalize()
         model = tiny_model(ds)
         seq = ds.sequences[0]
         rollout = model.rollout(seq[:2], ds.horizon, record=True)
@@ -103,7 +95,7 @@ class TestSequenceLoss:
         model.params.zero_grads()
 
     def test_loss_is_differentiable(self):
-        ds = normalize_dataset(toy_dataset())
+        ds = toy_dataset().normalize()
         model = tiny_model(ds)
         seq = ds.sequences[0]
         loss = sequence_loss(model.rollout(seq[:2], ds.horizon, record=True), seq[1:])
@@ -115,7 +107,7 @@ class TestSequenceLoss:
 
     def test_batch_loss_is_sum_of_sequence_losses(self):
         """Loss and gradients of a batch equal the mean of per-sequence ones."""
-        ds = normalize_dataset(toy_dataset(n_sequences=4, split=(2, 1, 1)))
+        ds = toy_dataset(n_sequences=4, split=(2, 1, 1)).normalize()
         model = tiny_model(ds)
         seqs = ds.sequences[:3]
 
@@ -142,7 +134,7 @@ class TestSequenceLoss:
 class TestValidationMae:
     def test_constant_predictor_oracle(self):
         """Zeroed weights with readout bias b predict b everywhere."""
-        ds = normalize_dataset(toy_dataset(n_sequences=4, split=(2, 1, 1)))
+        ds = toy_dataset(n_sequences=4, split=(2, 1, 1)).normalize()
         model = tiny_model(ds)
         for name in model.params.names():
             model.params[name].values[:] = 0.0
@@ -221,7 +213,7 @@ class TestTrainLoop:
         ds = toy_dataset(seed=6)
         model = tiny_model(ds)
         result = train_loop(model, ds, TrainConfig(tau=2, horizon=4, max_epochs=6))
-        recomputed = validation_mae(model, normalize_dataset(ds))
+        recomputed = validation_mae(model, ds.normalize())
         assert recomputed == pytest.approx(result.best_val_mae, rel=1e-12)
         assert result.best_val_mae == min(r.val_mae for r in result.history)
 
@@ -239,7 +231,7 @@ class TestTrainLoop:
         ds = toy_dataset(seed=8, scale=5.0)
         config = TrainConfig(tau=2, horizon=4, max_epochs=3)
         raw_result = train_loop(tiny_model(ds), ds, config)
-        norm_result = train_loop(tiny_model(ds), normalize_dataset(ds), config)
+        norm_result = train_loop(tiny_model(ds), ds.normalize(), config)
         assert raw_result.history[0].train_loss == pytest.approx(
             norm_result.history[0].train_loss, rel=1e-12
         )
