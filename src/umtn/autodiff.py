@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NumericalError
 
@@ -177,18 +176,6 @@ def permute(x, axes: tuple[int, ...]) -> Tensor:
 def relu(x) -> Tensor:
     x = _as_tensor(x)
     return _record(np.maximum(x.values, 0.0), (x,), lambda g: (g * (x.values > 0.0),))
-
-
-def sigmoid(x) -> Tensor:
-    x = _as_tensor(x)
-    s = expit(x.values)
-    return _record(s, (x,), lambda g: (g * s * (1.0 - s),))
-
-
-def tanh(x) -> Tensor:
-    x = _as_tensor(x)
-    t = np.tanh(x.values)
-    return _record(t, (x,), lambda g: (g * (1.0 - t * t),))
 
 
 def sum(x) -> Tensor:  # noqa: A001 - numpy-style name, accessed as autodiff.sum

@@ -27,7 +27,7 @@ from .errors import ConfigError, UmtnError
 from .evaluation import evaluate_model, persistence_baseline
 from .interpolation import build_phi, loocv_select_kernel
 from .kernels import KernelFamily, LinearOperatorSpec, RadialKernel
-from .model import ModelConfig, UmtnModel
+from .model import ModelConfig, UmtnModel, require_same_sites
 from .training import TrainConfig, train_loop
 
 DEFAULT_TUNE_CANDIDATES = [
@@ -170,13 +170,13 @@ def _cmd_train(args) -> int:
         train_config = TrainConfig(**train_cfg)
     except TypeError as exc:
         raise ConfigError(f"bad train config: {exc}") from exc
+    # Checked before training so that a blocked save does not discard the run.
+    out = storage.check_save_target(_require_out(args))
 
     model = UmtnModel.build(
         model_config, kernel, dataset.sites, reg_lambda=reg_lambda, seed=train_config.seed
     )
     result = train_loop(model, dataset, train_config)
-
-    out = _require_out(args)
     storage.save_checkpoint(
         model,
         out,
@@ -242,6 +242,7 @@ def _cmd_predict(args) -> int:
         raise ConfigError("predict requires --data and --checkpoint")
     dataset = storage.load_dataset(args.data).normalize()
     model = storage.load_checkpoint(args.checkpoint[0])
+    require_same_sites(model, dataset.sites)
     split = config.get("split", "test")
     offset = int(config.get("sequence", 0))
     indices = dataset.split_indices(split)

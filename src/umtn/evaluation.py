@@ -14,8 +14,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .datagen import SequenceDataset
-from .errors import ConfigError, DataError
-from .model import UmtnModel
+from .errors import ConfigError
+from .model import UmtnModel, require_same_sites
 
 
 def mae(truth: np.ndarray, pred: np.ndarray) -> float:
@@ -113,10 +113,8 @@ def evaluate_model(
     if values.shape[0] == 0:
         raise ConfigError(f"{split} split is empty")
     tau, horizon = dataset.tau, dataset.horizon
-    site_hash = dataset.sites.content_hash()
     for model in models:
-        if model.geometry.site_hash != site_hash:
-            raise DataError("model geometry does not match the dataset's sites")
+        require_same_sites(model, dataset.sites)
 
     errors = np.empty((len(models), values.shape[0], horizon, dataset.sites.n))
     for r, model in enumerate(models):

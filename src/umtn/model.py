@@ -35,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .interpolation import SiteSet, build_phi, scaled_inverse
 from .kernels import RadialKernel, kernel_eval
 
@@ -430,10 +430,20 @@ class UmtnModel:
             return inputs.result(preds, record)
 
 
+def require_same_sites(model: UmtnModel, sites: SiteSet) -> None:
+    """Raise DataError unless `sites` are the sites the model was built on."""
+    site_hash = sites.content_hash()
+    if site_hash != model.geometry.site_hash:
+        raise DataError(
+            f"dataset sites (n={sites.n}, sha256 {site_hash[:12]}) do not match the model's "
+            f"(n={model.geometry.n}, sha256 {model.geometry.site_hash[:12]})"
+        )
+
+
 def build_spatial_features(model: UmtnModel, sites: Optional[SiteSet] = None) -> np.ndarray:
     """Evaluate the spatial matrices as a plain (F, n, n) array."""
-    if sites is not None and sites.content_hash() != model.geometry.site_hash:
-        raise ValueError("site set does not match the model's geometry cache")
+    if sites is not None:
+        require_same_sites(model, sites)
     with ad.no_grad():
         operator = model.spatial_feature_tensors().values
     n = model.geometry.n

@@ -46,9 +46,20 @@ class VersionError(DataError):
     pass
 
 
+def check_save_target(path: Union[str, Path]) -> Path:
+    """Fail fast when a save to `path` cannot start: it is a file, or a save holds its lock."""
+    directory = Path(path)
+    if directory.exists() and not directory.is_dir():
+        raise DataError(f"save target {directory} exists and is not a directory")
+    if (directory / ".lock").exists():
+        raise DataError(f"another save holds the lock {directory / '.lock'}")
+    return directory
+
+
 @contextmanager
 def _exclusive_save(directory: Path):
     """Fail-fast exclusive lock for writers sharing a target directory."""
+    check_save_target(directory)
     directory.mkdir(parents=True, exist_ok=True)
     lock = directory / ".lock"
     try:

@@ -23,9 +23,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, adam_step, backward
 from .datagen import SequenceDataset
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DivergenceError
 from .evaluation import mae
-from .model import UmtnModel
+from .model import UmtnModel, require_same_sites
 
 
 @dataclass
@@ -128,8 +128,7 @@ def train_loop(model: UmtnModel, dataset: SequenceDataset, config: TrainConfig) 
     The dataset is normalized here if it is not already.  On return the
     model's parameters are the ones that achieved the lowest validation MAE.
     """
-    if dataset.sites.content_hash() != model.geometry.site_hash:
-        raise DataError("dataset sites do not match the model's geometry")
+    require_same_sites(model, dataset.sites)
     if dataset.tau != config.tau or dataset.horizon != config.horizon:
         raise ConfigError(
             f"dataset provides tau={dataset.tau}, horizon={dataset.horizon}; "

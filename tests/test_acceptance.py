@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from activations import sigmoid, tanh
 from umtn import autodiff as ad
 from umtn.autodiff import ParameterStore, Tensor, gradient_check
 from umtn.collocation import CollocationStepper, operator_matrix, solve_ivp
@@ -89,23 +90,23 @@ def test_gradient_suite():
         return store
 
     primitive_cases = {
-        "add": (store_of(a=(3, 4), b=(1, 4)), lambda s: ad.sum(ad.sigmoid(ad.add(s["a"], s["b"])))),
-        "subtract": (store_of(a=(2, 3), b=(2, 3)), lambda s: ad.sum(ad.tanh(ad.subtract(s["a"], s["b"])))),
-        "multiply": (store_of(a=(2, 3), b=(3,)), lambda s: ad.sum(ad.sigmoid(ad.multiply(s["a"], s["b"])))),
-        "matmul": (store_of(a=(2, 3), b=(3, 2)), lambda s: ad.sum(ad.tanh(ad.matmul(s["a"], s["b"])))),
-        "concat": (store_of(a=(2, 2), b=(2, 3)), lambda s: ad.sum(ad.sigmoid(ad.concat([s["a"], s["b"]])))),
+        "add": (store_of(a=(3, 4), b=(1, 4)), lambda s: ad.sum(sigmoid(ad.add(s["a"], s["b"])))),
+        "subtract": (store_of(a=(2, 3), b=(2, 3)), lambda s: ad.sum(tanh(ad.subtract(s["a"], s["b"])))),
+        "multiply": (store_of(a=(2, 3), b=(3,)), lambda s: ad.sum(sigmoid(ad.multiply(s["a"], s["b"])))),
+        "matmul": (store_of(a=(2, 3), b=(3, 2)), lambda s: ad.sum(tanh(ad.matmul(s["a"], s["b"])))),
+        "concat": (store_of(a=(2, 2), b=(2, 3)), lambda s: ad.sum(sigmoid(ad.concat([s["a"], s["b"]])))),
         "reshape": (store_of(a=(6,), b=(3, 1)), lambda s: ad.sum(ad.matmul(ad.reshape(s["a"], (2, 3)), s["b"]))),
         "permute": (
             store_of(a=(2, 3, 4), b=(4, 2, 3)),
-            lambda s: ad.sum(ad.sigmoid(ad.multiply(ad.permute(s["a"], (2, 0, 1)), s["b"]))),
+            lambda s: ad.sum(sigmoid(ad.multiply(ad.permute(s["a"], (2, 0, 1)), s["b"]))),
         ),
         "relu": (store_of(a=(4, 4),), lambda s: ad.sum(ad.relu(s["a"]))),
-        "sigmoid": (store_of(a=(5,),), lambda s: ad.sum(ad.sigmoid(s["a"]))),
-        "tanh": (store_of(a=(5,),), lambda s: ad.sum(ad.tanh(s["a"]))),
+        "sigmoid": (store_of(a=(5,),), lambda s: ad.sum(sigmoid(s["a"]))),
+        "tanh": (store_of(a=(5,),), lambda s: ad.sum(tanh(s["a"]))),
         "sum": (store_of(a=(3, 3),), lambda s: ad.sum(ad.multiply(s["a"], s["a"]))),
         "gru_cell": (
             store_of(x=(4, 3), h=(4, 2), w=(3, 6), u_zr=(2, 4), u_h=(2, 2), b=(6,)),
-            lambda s: ad.sum(ad.sigmoid(ad.gru_cell(s["x"], s["h"], s["w"], s["u_zr"], s["u_h"], s["b"]))),
+            lambda s: ad.sum(sigmoid(ad.gru_cell(s["x"], s["h"], s["w"], s["u_zr"], s["u_h"], s["b"]))),
         ),
     }
     worst = 0.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from activations import sigmoid, tanh
 from umtn import autodiff as ad
 from umtn.autodiff import ParameterStore, Tensor, adam_step, backward, gradient_check, no_grad
 from umtn.errors import NumericalError
@@ -30,8 +31,8 @@ class TestPrimitiveForward:
     def test_activations_at_zero(self):
         z = leaf([0.0])
         assert ad.relu(z).values[0] == 0.0
-        assert ad.sigmoid(z).values[0] == 0.5
-        assert ad.tanh(z).values[0] == 0.0
+        assert sigmoid(z).values[0] == 0.5
+        assert tanh(z).values[0] == 0.0
 
     def test_relu_clamps(self):
         assert_allclose(ad.relu(leaf([-2.0, 3.0])).values, [0.0, 3.0])
@@ -103,7 +104,7 @@ class TestBackwardGradients:
 
     def test_sigmoid_gradient_quarter_at_zero(self):
         x = leaf([0.0])
-        backward(ad.sum(ad.sigmoid(x)))
+        backward(ad.sum(sigmoid(x)))
         assert_allclose(x.grad, [0.25])
 
     def test_matmul_constant_operand_gets_no_product(self):
@@ -152,7 +153,7 @@ class TestBackwardGradients:
 
     def test_backward_consumes_the_graph(self):
         x = leaf([1.0, 2.0])
-        hidden = ad.tanh(ad.multiply(x, 3.0))
+        hidden = tanh(ad.multiply(x, 3.0))
         loss = ad.sum(hidden)
         backward(loss)
         assert x.grad is not None  # leaves keep their gradient
@@ -172,9 +173,9 @@ class TestBackwardGradients:
 class TestNoGrad:
     def test_values_bitwise_identical(self):
         x = leaf(np.linspace(-1, 1, 7))
-        recorded = ad.tanh(ad.multiply(x, 3.0)).values
+        recorded = tanh(ad.multiply(x, 3.0)).values
         with no_grad():
-            plain = ad.tanh(ad.multiply(x, 3.0)).values
+            plain = tanh(ad.multiply(x, 3.0)).values
         assert np.array_equal(recorded, plain)
 
     def test_no_graph_recorded(self):
@@ -194,9 +195,9 @@ class TestNoGrad:
 
 def composite_gru(x, h, wz, uz, bz, wr, ur, br, wh, uh, bh):
     """The GRU update spelled out in elementwise primitives."""
-    z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, wz), ad.matmul(h, uz)), bz))
-    r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, wr), ad.matmul(h, ur)), br))
-    cand = ad.tanh(ad.add(ad.add(ad.matmul(x, wh), ad.matmul(ad.multiply(r, h), uh)), bh))
+    z = sigmoid(ad.add(ad.add(ad.matmul(x, wz), ad.matmul(h, uz)), bz))
+    r = sigmoid(ad.add(ad.add(ad.matmul(x, wr), ad.matmul(h, ur)), br))
+    cand = tanh(ad.add(ad.add(ad.matmul(x, wh), ad.matmul(ad.multiply(r, h), uh)), bh))
     return ad.add(ad.multiply(ad.subtract(1.0, z), h), ad.multiply(z, cand))
 
 
@@ -260,7 +261,7 @@ def random_composite(seed):
     store.register("w", rng.normal(size=(m, k)))
     store.register("v", rng.normal(size=(k, n)))
     store.register("b", rng.normal(size=(m, n)))
-    activation = [ad.relu, ad.sigmoid, ad.tanh][seed % 3]
+    activation = [ad.relu, sigmoid, tanh][seed % 3]
     combiner = [ad.add, ad.subtract, ad.multiply][seed % 3]
 
     def loss(s):
@@ -294,8 +295,8 @@ class TestGradientCheck:
         x = Tensor(rng.normal(size=(1, 3)))
 
         def loss(s):
-            h = ad.tanh(ad.add(ad.matmul(x, s["w"]), s["b"]))
-            h = ad.tanh(ad.add(ad.add(ad.matmul(x, s["w"]), ad.matmul(h, s["u"])), s["b"]))
+            h = tanh(ad.add(ad.matmul(x, s["w"]), s["b"]))
+            h = tanh(ad.add(ad.add(ad.matmul(x, s["w"]), ad.matmul(h, s["u"])), s["b"]))
             return ad.sum(h)
 
         assert gradient_check(loss, store, tol=1e-5).passed

@@ -287,6 +287,32 @@ class TestTrain:
         assert code == 2
         assert "--data" in stderr_json(err)["message"]
 
+    @pytest.mark.parametrize("blocker", ["file", "lock"])
+    def test_blocked_out_fails_before_training(self, workspace, tmp_path, capsys, monkeypatch, blocker):
+        out = tmp_path / "ck"
+        if blocker == "file":
+            out.write_text("not a directory")
+        else:
+            out.mkdir()
+            (out / ".lock").touch()
+        calls = []
+        monkeypatch.setattr("umtn.cli.train_loop", lambda *args: calls.append(args))
+        save_json(TRAIN_CONFIG, tmp_path / "train.json")
+        code, _, err = run(
+            capsys,
+            "train",
+            "--data",
+            str(workspace / "ds"),
+            "--config",
+            str(tmp_path / "train.json"),
+            "--out",
+            str(out),
+        )
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        assert stderr_json(err)["error"] == "DataError"
+        assert calls == []
+
 
 class TestEval:
     def test_report_contents(self, workspace):
@@ -432,6 +458,28 @@ class TestPredict:
         )
         assert code == 2
         assert "out of range" in stderr_json(err)["message"]
+
+    def test_foreign_sites_same_count_exit_3(self, workspace, tmp_path, capsys):
+        save_json({**GEN_CONFIG, "seed": 5}, tmp_path / "gen.json")
+        assert main(["gen-data", "--config", str(tmp_path / "gen.json"), "--out", str(tmp_path / "ds")]) == 0
+        assert load_dataset(tmp_path / "ds").sites.n == load_checkpoint(workspace / "ck").geometry.n
+        capsys.readouterr()
+        code, _, err = run(
+            capsys,
+            "predict",
+            "--data",
+            str(tmp_path / "ds"),
+            "--checkpoint",
+            str(workspace / "ck"),
+            "--out",
+            str(tmp_path / "pred.json"),
+        )
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        detail = stderr_json(err)
+        assert detail["error"] == "DataError"
+        assert "do not match" in detail["message"]
+        assert not (tmp_path / "pred.json").exists()
 
 
 class TestExportReport:

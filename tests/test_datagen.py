@@ -5,14 +5,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from umtn.datagen import (
+    CHUNK_VALUES,
     COEFF_VARIANCE,
     MAX_MODE,
     ConvDiffConfig,
     FourierInitialCondition,
     SequenceDataset,
     _field_grids,
-    _rhs,
     _simulate_batch,
+    _stencil_weights,
+    _Workspace,
     generate_dataset,
     grid_coordinates,
     sample_initial_condition,
@@ -44,6 +46,48 @@ def evaluate_pointwise(ic, x, y):
             angle = k * x + l * y
             out += ic.lambda_kl[ki, li] * np.cos(angle) + ic.zeta_kl[ki, li] * np.sin(angle)
     return out
+
+
+def reference_rhs(u: np.ndarray, h: float, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a*u_x + b*u_y + c*laplacian(u) with periodic central differences, term by term.
+
+    u may carry leading batch axes; the grid spans the last two axes.
+    """
+    xp = np.roll(u, -1, axis=-2)
+    xm = np.roll(u, 1, axis=-2)
+    yp = np.roll(u, -1, axis=-1)
+    ym = np.roll(u, 1, axis=-1)
+    ux = (xp - xm) / (2.0 * h)
+    uy = (yp - ym) / (2.0 * h)
+    lap = (xp + xm + yp + ym - 4.0 * u) / (h * h)
+    return a * ux + b * uy + c * lap
+
+
+def reference_simulate(config: ConvDiffConfig, initial: np.ndarray) -> np.ndarray:
+    """Classical four-stage RK4 with k1..k4 over `reference_rhs`; (n_outputs + 1, g, g)."""
+    a, b, c = _field_grids(config.grid_size)
+    h = config.grid_spacing
+    dt = config.dt_internal
+    u = np.array(initial, dtype=float)
+    out = [u]
+    for _ in range(config.n_outputs):
+        for _ in range(config.substeps_per_output):
+            k1 = reference_rhs(u, h, a, b, c)
+            k2 = reference_rhs(u + 0.5 * dt * k1, h, a, b, c)
+            k3 = reference_rhs(u + 0.5 * dt * k2, h, a, b, c)
+            k4 = reference_rhs(u + dt * k3, h, a, b, c)
+            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(u)
+    return np.stack(out)
+
+
+def stencil(config: ConvDiffConfig, u: np.ndarray) -> np.ndarray:
+    """The generator's L(u) for a (g, g) field or a (batch, g, g) stack."""
+    g = config.grid_size
+    stack = np.asarray(u, dtype=float).reshape(-1, g, g)
+    work = _Workspace(_stencil_weights(config), stack.shape[0])
+    work.field[:, 1:-1, 1:-1] = stack
+    return work.apply()[:, 1:-1, 1:-1].reshape(np.shape(u))
 
 
 def small_config(**overrides):
@@ -178,22 +222,28 @@ class TestRhs:
         h = 2 * np.pi / g
         a, b, c = _field_grids(g)
         expected = a * (np.sin(h) / h) * np.cos(X) + c * ((2 * np.cos(h) - 2) / h**2) * np.sin(X)
-        assert_allclose(_rhs(u, h, a, b, c), expected, atol=1e-12)
+        assert_allclose(stencil(small_config(grid_size=g), u), expected, atol=1e-12)
+        assert_allclose(reference_rhs(u, h, a, b, c), expected, atol=1e-12)
 
     def test_constant_field_has_zero_rhs(self):
-        g = 8
-        a, b, c = _field_grids(g)
-        assert np.all(_rhs(np.full((g, g), 3.7), 2 * np.pi / g, a, b, c) == 0.0)
+        config = small_config(grid_size=8, n_sites=4)
+        assert np.all(stencil(config, np.full((8, 8), 3.7)) == 0.0)
+        assert np.all(stencil(config, np.full((2, 8, 8), 1e6)) == 0.0)
 
     def test_batch_axis_broadcasts(self):
-        g = 8
-        a, b, c = _field_grids(g)
-        rng = np.random.default_rng(10)
-        batch = rng.normal(size=(3, g, g))
-        h = 2 * np.pi / g
-        stacked = _rhs(batch, h, a, b, c)
+        config = small_config(grid_size=8, n_sites=4)
+        batch = np.random.default_rng(10).normal(size=(3, 8, 8))
+        stacked = stencil(config, batch)
         for i in range(3):
-            assert_allclose(stacked[i], _rhs(batch[i], h, a, b, c))
+            assert np.array_equal(stacked[i], stencil(config, batch[i]))
+
+    def test_matches_reference_rhs(self):
+        for g in (8, 16, 50):
+            config = small_config(grid_size=g, n_sites=4)
+            a, b, c = _field_grids(g)
+            u = np.random.default_rng(g).normal(size=(2, g, g))
+            expected = reference_rhs(u, config.grid_spacing, a, b, c)
+            assert_allclose(stencil(config, u), expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
 
 
 class TestSimulate:
@@ -238,6 +288,23 @@ class TestSimulate:
             simulate_convdiff(config, u0)
         assert excinfo.value.at_time == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("grid_size, t_end, substeps", [(16, 0.05, 2), (50, 0.03, 10)])
+    def test_matches_classical_rk4(self, grid_size, t_end, substeps):
+        config = small_config(grid_size=grid_size, t_end=t_end, substeps_per_output=substeps)
+        u0 = sample_initial_condition(np.random.default_rng(grid_size), grid_size=grid_size)
+        snaps = simulate_convdiff(config, u0)
+        expected = reference_simulate(config, u0)
+        assert snaps.shape == expected.shape == (config.n_outputs + 1, grid_size, grid_size)
+        assert np.max(np.abs(snaps - expected)) <= 1e-12
+
+    def test_early_stop_keeps_leading_snapshots(self):
+        config = small_config()
+        fields = np.stack([sample_initial_condition(np.random.default_rng(14), 16)])
+        full = _simulate_batch(config, fields)
+        short = _simulate_batch(config, fields, n_outputs=2)
+        assert short.shape == (1, 3, 16, 16)
+        assert np.array_equal(short, full[:, :3])
+
     def test_non_2d_initial_rejected(self):
         with pytest.raises(ValueError):
             simulate_convdiff(small_config(), np.zeros(16))
@@ -276,9 +343,27 @@ class TestGenerateDataset:
         assert not np.array_equal(first.sequences, second.sequences)
 
     def test_chunking_does_not_change_values(self):
-        whole = generate_dataset(small_config(), tau=2, chunk_size=100)
-        chunked = generate_dataset(small_config(), tau=2, chunk_size=1)
-        assert np.array_equal(whole.sequences, chunked.sequences)
+        # At g=50 the default chunk is the budget's 10 sequences, fewer than all 12.
+        config = small_config(
+            grid_size=50, t_end=0.03, substeps_per_output=10, n_sites=20, n_sequences=12, split=(8, 2, 2), seed=5
+        )
+        assert CHUNK_VALUES // 50**2 == 10
+        default = generate_dataset(config, tau=1)
+        for chunk_size in (1, 3, 12):
+            chunked = generate_dataset(config, tau=1, chunk_size=chunk_size)
+            assert np.array_equal(chunked.sequences, default.sequences)
+
+    def test_sequences_are_kept_snapshots_at_sites(self):
+        config = small_config()
+        ds = generate_dataset(config, tau=2)
+        master = np.random.SeedSequence(config.seed)
+        _, ic_root = master.spawn(2)
+        fields = np.stack(
+            [FourierInitialCondition.sample(np.random.default_rng(s)).on_grid(16) for s in ic_root.spawn(3)]
+        )
+        snaps = simulate_convdiff(config, fields[1])
+        idx = np.round(ds.sites.sites / config.grid_spacing).astype(int)
+        assert np.array_equal(ds.sequences[1], snaps[: config.sequence_length, idx[:, 0], idx[:, 1]])
 
 
 class TestSequenceDataset:

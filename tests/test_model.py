@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from umtn import autodiff as ad
 from umtn import model as model_module
 from umtn.autodiff import ParameterStore, Tensor
-from umtn.errors import ConfigError
+from umtn.errors import ConfigError, DataError
 from umtn.interpolation import SiteSet, build_phi
 from umtn.kernels import KernelFamily, RadialKernel
 from umtn.model import (
@@ -248,7 +248,7 @@ class TestSpatialFeatures:
 
     def test_foreign_sites_rejected(self):
         model = small_model()
-        with pytest.raises(ValueError, match="site"):
+        with pytest.raises(DataError, match="site"):
             build_spatial_features(model, site_set(6, seed=99))
 
     def test_matching_sites_accepted(self):
