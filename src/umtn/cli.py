@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ import numpy as np
 from . import storage
 from .collocation import CollocationStepper, solve_ivp
 from .datagen import ConvDiffConfig, generate_dataset
-from .errors import ConfigError, UmtnError
+from .errors import ConfigError, DataError, UmtnError
 from .evaluation import evaluate_model, persistence_baseline
 from .interpolation import build_phi, loocv_select_kernel
 from .kernels import KernelFamily, LinearOperatorSpec, RadialKernel
@@ -172,6 +173,9 @@ def _cmd_train(args) -> int:
         raise ConfigError(f"bad train config: {exc}") from exc
     # Checked before training so that a blocked save does not discard the run.
     out = storage.check_save_target(_require_out(args))
+    history = Path(args.history) if args.history else out / "history.csv"
+    if history.is_dir():
+        raise DataError(f"history target {history} is a directory")
 
     model = UmtnModel.build(
         model_config, kernel, dataset.sites, reg_lambda=reg_lambda, seed=train_config.seed
@@ -189,12 +193,8 @@ def _cmd_train(args) -> int:
             "dataset_seed": dataset.seed,
         },
     )
-    history_path = Path(args.history) if args.history else out / "history.csv"
-    with open(history_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["epoch", "train_loss", "val_mae"])
-        for record in result.history:
-            writer.writerow([record.epoch, repr(record.train_loss), repr(record.val_mae)])
+    rows = [(r.epoch, repr(r.train_loss), repr(r.val_mae)) for r in result.history]
+    storage.write_text(history, _csv_text(["epoch", "train_loss", "val_mae"], rows))
     print(
         f"trained {len(result.history)} epochs; best val MAE {result.best_val_mae:.6f} "
         f"at epoch {result.best_epoch}; checkpoint at {out}"
@@ -202,12 +202,13 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _write_curve_csv(path: Path, column: str, values) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([column, "mae"])
-        for i, value in enumerate(values):
-            writer.writerow([i, repr(float(value))])
+def _csv_text(header: list[str], rows) -> str:
+    """`rows` under `header`, rendered in the csv module's default dialect."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def _cmd_eval(args) -> int:
@@ -227,8 +228,9 @@ def _cmd_eval(args) -> int:
     }
     storage.save_json(payload, out)
     stem = out.with_suffix("")
-    _write_curve_csv(Path(f"{stem}_per_step.csv"), "step", report.per_step)
-    _write_curve_csv(Path(f"{stem}_per_site.csv"), "site", report.per_site)
+    for column, curve in (("step", report.per_step), ("site", report.per_site)):
+        rows = ((i, repr(float(v))) for i, v in enumerate(curve))
+        storage.write_text(f"{stem}_per_{column}.csv", _csv_text([column, "mae"], rows))
     print(
         f"{split} MAE {report.mae_mean:.6f} +/- {report.mae_std:.6f} over "
         f"{report.n_runs} run(s); persistence {baseline.mae_mean:.6f}"
@@ -297,8 +299,7 @@ def _cmd_export_report(args) -> int:
             f"| {fmt(horizon)} | {fmt(persist)} |"
         )
     out = _require_out(args)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
+    storage.write_text(out, "\n".join(lines) + "\n")
     print(f"wrote summary of {len(rows)} report(s) to {out}")
     return 0
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -99,23 +99,11 @@ class ConvDiffConfig:
         return self.n_outputs
 
     def to_dict(self) -> dict:
-        return {
-            "grid_size": self.grid_size,
-            "dt_out": self.dt_out,
-            "t_end": self.t_end,
-            "n_sites": self.n_sites,
-            "n_sequences": self.n_sequences,
-            "split": list(self.split),
-            "substeps_per_output": self.substeps_per_output,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConvDiffConfig":
-        kwargs = dict(data)
-        if "split" in kwargs:
-            kwargs["split"] = tuple(kwargs["split"])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 def grid_coordinates(grid_size: int) -> tuple[np.ndarray, np.ndarray]:

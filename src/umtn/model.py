@@ -28,7 +28,7 @@ set and shared by every forward pass.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -69,21 +69,11 @@ class ModelConfig:
         return self.feature_width * self.levels + 1
 
     def to_dict(self) -> dict:
-        return {
-            "levels": self.levels,
-            "spatial_dim": self.spatial_dim,
-            "feature_width": self.feature_width,
-            "s_alpha_hidden": list(self.s_alpha_hidden),
-            "nab_hidden": self.nab_hidden,
-            "rfn_hidden": self.rfn_hidden,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        kwargs = dict(data)
-        if "s_alpha_hidden" in kwargs:
-            kwargs["s_alpha_hidden"] = tuple(kwargs["s_alpha_hidden"])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 class SiteGeometry:
@@ -483,21 +473,11 @@ class DrcConfig:
         return self.feature_width + self.past_frames
 
     def to_dict(self) -> dict:
-        return {
-            "spatial_dim": self.spatial_dim,
-            "feature_width": self.feature_width,
-            "s_hidden": list(self.s_hidden),
-            "aggregator_hidden": list(self.aggregator_hidden),
-            "past_frames": self.past_frames,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "DrcConfig":
-        kwargs = dict(data)
-        for key in ("s_hidden", "aggregator_hidden"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**data)
 
 
 class DrcModel:

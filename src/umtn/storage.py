@@ -4,6 +4,10 @@ Every artifact is a directory holding a textual ``manifest.json`` plus raw
 little-endian float64 payload files, so anything can parse it without extra
 dependencies.  Loaders verify a format version, per-payload sha256 checksums,
 exact byte lengths against the declared shapes, and finiteness.
+
+Every file the package writes is either fully written or not written at all:
+artifacts are built in a private temp directory renamed into place
+(`_atomic_directory`), single files go through `write_text`.
 """
 
 from __future__ import annotations
@@ -12,9 +16,10 @@ import csv
 import hashlib
 import json
 import os
+import shutil
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -47,33 +52,65 @@ class VersionError(DataError):
 
 
 def check_save_target(path: Union[str, Path]) -> Path:
-    """Fail fast when a save to `path` cannot start: it is a file, or a save holds its lock."""
+    """Fail fast unless a save may replace `path`: it must be absent, an empty
+    directory, or an artifact (a directory holding manifest.json)."""
     directory = Path(path)
     if directory.exists() and not directory.is_dir():
         raise DataError(f"save target {directory} exists and is not a directory")
-    if (directory / ".lock").exists():
-        raise DataError(f"another save holds the lock {directory / '.lock'}")
+    if directory.is_dir() and not (directory / "manifest.json").is_file() and any(directory.iterdir()):
+        raise DataError(f"save target {directory} is a non-empty directory without manifest.json")
     return directory
 
 
+def _sibling(target: Path) -> Path:
+    """A fresh private name ``.<name>.<random>`` in the target's directory."""
+    return target.parent / f".{target.name}.{os.urandom(6).hex()}"
+
+
 @contextmanager
-def _exclusive_save(directory: Path):
-    """Fail-fast exclusive lock for writers sharing a target directory."""
-    check_save_target(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    lock = directory / ".lock"
+def _atomic_directory(path: Union[str, Path]) -> Iterator[Path]:
+    """Yield a private temp directory that replaces `path` whole on a clean exit.
+
+    The old artifact is moved aside, the new one renamed in, then the old one
+    removed; on any failure the old artifact stays and no temp directory is
+    left.  Of two saves racing to one target, the loser gets DataError.
+    """
+    target = Path(path)
+    tmp, aside = _sibling(target), _sibling(target)
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise DataError(f"another save holds the lock {lock}") from None
-    try:
-        os.close(fd)
-        yield
-    finally:
+        check_save_target(target)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        tmp.mkdir()
+        yield tmp
+        if target.exists():
+            os.rename(target, aside)
         try:
-            os.unlink(lock)
-        except FileNotFoundError:
-            pass
+            os.rename(tmp, target)
+        except OSError:
+            if aside.exists():
+                os.rename(aside, target)
+            raise
+    except OSError as exc:
+        raise DataError(f"cannot save {target}: {exc.strerror or exc}") from exc
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+        shutil.rmtree(aside, ignore_errors=True)
+
+
+def write_text(path: Union[str, Path], text: str) -> None:
+    """Write `text` to `path` whole or not at all, creating missing parents."""
+    target = Path(path)
+    tmp = _sibling(target)
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "xb") as handle:
+            handle.write(text.encode())
+        os.replace(tmp, target)
+    except OSError as exc:
+        raise DataError(f"cannot write {target}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp.is_file():
+            tmp.unlink()
 
 
 def _write_payload(directory: Path, name: str, array: np.ndarray) -> dict:
@@ -132,8 +169,7 @@ def _load_manifest(directory: Path, kind: str) -> dict:
 
 
 def save_dataset(dataset: SequenceDataset, path: Union[str, Path]) -> None:
-    directory = Path(path)
-    with _exclusive_save(directory):
+    with _atomic_directory(path) as directory:
         manifest = {
             "format_version": FORMAT_VERSION,
             "kind": "dataset",
@@ -157,7 +193,7 @@ def save_dataset(dataset: SequenceDataset, path: Union[str, Path]) -> None:
         manifest["payloads"]["sequences.bin"] = _write_payload(
             directory, "sequences.bin", dataset.sequences
         )
-        (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        save_json(manifest, directory / "manifest.json")
 
 
 def load_dataset(path: Union[str, Path]) -> SequenceDataset:
@@ -189,8 +225,7 @@ def save_checkpoint(
     model: UmtnModel, path: Union[str, Path], extra: Optional[dict] = None
 ) -> None:
     """Persist parameters plus everything needed to rebuild the model."""
-    directory = Path(path)
-    with _exclusive_save(directory):
+    with _atomic_directory(path) as directory:
         names = model.params.names()
         blob = b"".join(
             np.ascontiguousarray(model.params[name].values, dtype="<f8").tobytes()
@@ -214,7 +249,7 @@ def save_checkpoint(
             },
             "extra": extra or {},
         }
-        (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        save_json(manifest, directory / "manifest.json")
 
 
 def load_checkpoint(path: Union[str, Path]) -> UmtnModel:
@@ -348,7 +383,4 @@ def load_json_config(path: Union[str, Path]) -> dict:
 
 
 def save_json(data: dict, path: Union[str, Path]) -> None:
-    target = Path(path)
-    if target.parent != Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(data, indent=2) + "\n")
+    write_text(path, json.dumps(data, indent=2) + "\n")

@@ -15,7 +15,7 @@ loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -52,16 +52,7 @@ class TrainConfig:
             raise ConfigError("tau and horizon must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "horizon": self.horizon,
-            "lr": self.lr,
-            "max_epochs": self.max_epochs,
-            "early_stop_patience": self.early_stop_patience,
-            "batch_size": self.batch_size,
-            "scheduled_sampling_k": self.scheduled_sampling_k,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":

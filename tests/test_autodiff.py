@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from activations import sigmoid, tanh
@@ -435,3 +438,27 @@ class TestParameterStore:
             store.load_snapshot({"other": np.zeros(2)})
         with pytest.raises(ValueError):
             store.load_snapshot({"w": np.zeros(3)})
+
+
+@st.composite
+def broadcast_pairs(draw):
+    """A gradient shape and an operand shape that broadcasts to it."""
+    result = draw(hnp.array_shapes(min_dims=0, max_dims=4, min_side=1, max_side=4))
+    kept = result[draw(st.integers(0, len(result))):]
+    return result, tuple(1 if draw(st.booleans()) else s for s in kept)
+
+
+class TestUnbroadcastProperty:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(shapes=broadcast_pairs(), seed=st.integers(0, 2**31))
+    def test_sums_the_broadcast_gradient(self, shapes, seed):
+        """The operand gets the sum of the gradient over every position it was broadcast to."""
+        result, shape = shapes
+        grad = np.random.default_rng(seed).normal(size=result)
+        expected = np.zeros(shape)
+        lead = len(result) - len(shape)
+        for index in np.ndindex(*result):
+            expected[tuple(0 if s == 1 else i for i, s in zip(index[lead:], shape))] += grad[index]
+        reduced = ad._unbroadcast(grad, shape)
+        assert np.shape(reduced) == shape
+        assert_allclose(reduced, expected, rtol=1e-12, atol=1e-12)

@@ -287,14 +287,25 @@ class TestTrain:
         assert code == 2
         assert "--data" in stderr_json(err)["message"]
 
-    @pytest.mark.parametrize("blocker", ["file", "lock"])
+    @pytest.mark.parametrize("blocker", ["file", "unmanaged"])
     def test_blocked_out_fails_before_training(self, workspace, tmp_path, capsys, monkeypatch, blocker):
         out = tmp_path / "ck"
         if blocker == "file":
             out.write_text("not a directory")
         else:
             out.mkdir()
-            (out / ".lock").touch()
+            (out / "notes.txt").write_text("not an artifact")
+        self.assert_fails_before_training(workspace, tmp_path, capsys, monkeypatch, "--out", str(out))
+
+    def test_history_directory_fails_before_training(self, workspace, tmp_path, capsys, monkeypatch):
+        (tmp_path / "h.csv").mkdir()
+        self.assert_fails_before_training(
+            workspace, tmp_path, capsys, monkeypatch,
+            "--out", str(tmp_path / "ck"), "--history", str(tmp_path / "h.csv"),
+        )
+        assert not (tmp_path / "ck").exists()
+
+    def assert_fails_before_training(self, workspace, tmp_path, capsys, monkeypatch, *targets):
         calls = []
         monkeypatch.setattr("umtn.cli.train_loop", lambda *args: calls.append(args))
         save_json(TRAIN_CONFIG, tmp_path / "train.json")
@@ -305,13 +316,31 @@ class TestTrain:
             str(workspace / "ds"),
             "--config",
             str(tmp_path / "train.json"),
-            "--out",
-            str(out),
+            *targets,
         )
         assert code == 3
         assert len(err.strip().splitlines()) == 1
         assert stderr_json(err)["error"] == "DataError"
         assert calls == []
+
+    def test_history_parent_is_created(self, workspace, tmp_path, capsys):
+        save_json(TRAIN_CONFIG, tmp_path / "train.json")
+        history = tmp_path / "logs" / "run1" / "h.csv"
+        code, _, _ = run(
+            capsys,
+            "train",
+            "--data",
+            str(workspace / "ds"),
+            "--config",
+            str(tmp_path / "train.json"),
+            "--out",
+            str(tmp_path / "ck"),
+            "--history",
+            str(history),
+        )
+        assert code == 0
+        assert history.read_bytes().startswith(b"epoch,train_loss,val_mae\r\n")
+        assert not (tmp_path / "ck" / "history.csv").exists()
 
 
 class TestEval:
@@ -505,6 +534,30 @@ class TestExportReport:
         code, _, err = run(capsys, "export-report", "--out", str(tmp_path / "s.md"))
         assert code == 2
         assert "--report" in stderr_json(err)["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tune-kernel", "--data", "{ws}/ds"],
+        ["solve", "--config", "{tmp}/solve.json"],
+        ["eval", "--data", "{ws}/ds", "--checkpoint", "{ws}/ck"],
+        ["predict", "--data", "{ws}/ds", "--checkpoint", "{ws}/ck"],
+        ["export-report", "--report", "{ws}/report.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_that_is_a_directory_exits_3(workspace, tmp_path, capsys, argv):
+    save_json(TestSolve().solve_config(), tmp_path / "solve.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    code, _, err = run(capsys, *(a.format(ws=workspace, tmp=tmp_path) for a in argv), "--out", str(out))
+    assert code == 3
+    assert len(err.strip().splitlines()) == 1
+    detail = stderr_json(err)
+    assert detail["error"] == "DataError"
+    assert str(out) in detail["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "solve.json"]
 
 
 class TestParser:

@@ -1,9 +1,18 @@
 import hashlib
 import json
+import os
+import sys
+import tempfile
+import threading
+from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from umtn import storage
 from umtn.datagen import SequenceDataset
 from umtn.errors import ConfigError, DataError
 from umtn.interpolation import SiteSet
@@ -13,6 +22,7 @@ from umtn.storage import (
     ChecksumError,
     TruncatedPayloadError,
     VersionError,
+    check_save_target,
     checkpoint_extra,
     ingest_csv,
     load_checkpoint,
@@ -21,6 +31,7 @@ from umtn.storage import (
     save_checkpoint,
     save_dataset,
     save_json,
+    write_text,
 )
 
 MQ = RadialKernel(KernelFamily.MULTIQUADRIC, 0.7)
@@ -105,13 +116,124 @@ class TestDatasetRoundTrip:
         assert not (target / ".lock").exists()
         save_dataset(sample_dataset(seed=9), target)
         assert load_dataset(target).seed == 9
+        assert siblings(target) == []
 
-    def test_concurrent_save_rejected(self, tmp_path):
+
+def siblings(target):
+    """Temp directories and files a save may have left beside `target`."""
+    return sorted(p.name for p in target.parent.glob(f".{target.name}.*"))
+
+
+class TestAtomicSave:
+    def test_leftover_lock_does_not_block_save(self, tmp_path):
+        target = tmp_path / "ds"
+        save_dataset(sample_dataset(seed=0), target)
+        (target / ".lock").touch()  # as left by a crashed save of an older release
+        save_dataset(sample_dataset(seed=9), target)
+        assert load_dataset(target).seed == 9
+        assert not (target / ".lock").exists()
+
+    def test_failed_save_keeps_previous_artifact(self, tmp_path, monkeypatch):
+        target = tmp_path / "ds"
+        save_dataset(sample_dataset(seed=0), target)
+        before = {p.name: p.read_bytes() for p in target.iterdir()}
+        real_write_payload = storage._write_payload
+        calls = []
+
+        def fail_on_second(directory, name, array):
+            calls.append(name)
+            if len(calls) == 2:
+                raise RuntimeError("disk gave out")
+            return real_write_payload(directory, name, array)
+
+        monkeypatch.setattr(storage, "_write_payload", fail_on_second)
+        with pytest.raises(RuntimeError, match="disk gave out"):
+            save_dataset(sample_dataset(seed=9), target)
+        assert {p.name: p.read_bytes() for p in target.iterdir()} == before
+        assert siblings(target) == []
+
+    def test_empty_directory_is_a_valid_target(self, tmp_path):
+        (tmp_path / "ds").mkdir()
+        save_dataset(sample_dataset(seed=4), tmp_path / "ds")
+        assert load_dataset(tmp_path / "ds").seed == 4
+
+    def test_replacing_removes_files_of_the_old_artifact(self, tmp_path):
+        target = tmp_path / "ck"
+        save_checkpoint(sample_model(), target)
+        (target / "history.csv").write_text("epoch,train_loss,val_mae\n")
+        save_checkpoint(sample_model(seed=4), target)
+        assert sorted(p.name for p in target.iterdir()) == ["manifest.json", "params.bin", "sites.bin"]
+        assert siblings(target) == []
+
+    def test_non_empty_directory_without_manifest_refused(self, tmp_path):
         target = tmp_path / "ds"
         target.mkdir()
-        (target / ".lock").touch()
-        with pytest.raises(DataError, match="lock"):
+        (target / "notes.txt").write_text("keep me")
+        with pytest.raises(DataError, match="without manifest.json"):
+            check_save_target(target)
+        with pytest.raises(DataError, match="without manifest.json"):
             save_dataset(sample_dataset(), target)
+        assert [p.name for p in target.iterdir()] == ["notes.txt"]
+        assert siblings(target) == []
+
+    def test_file_target_refused(self, tmp_path):
+        (tmp_path / "ds").write_text("a file")
+        with pytest.raises(DataError, match="not a directory"):
+            save_dataset(sample_dataset(), tmp_path / "ds")
+        assert (tmp_path / "ds").read_text() == "a file"
+
+    def test_lost_rename_race_raises_data_error(self, tmp_path, monkeypatch):
+        """A rival save that lands first keeps its artifact; the loser gets DataError."""
+        target = tmp_path / "ds"
+        real_rename = os.rename
+        rivals = []
+
+        def rival_lands_first(src, dst):
+            if Path(dst) == target and not rivals:
+                rivals.append(src)
+                save_dataset(sample_dataset(seed=7), target)
+            real_rename(src, dst)
+
+        monkeypatch.setattr(storage.os, "rename", rival_lands_first)
+        with pytest.raises(DataError, match="cannot save"):
+            save_dataset(sample_dataset(seed=1), target)
+        monkeypatch.undo()
+        assert load_dataset(target).seed == 7
+        assert siblings(target) == []
+
+
+    def test_concurrent_saves_never_mix(self, tmp_path):
+        """Threads racing to one target: each save lands whole or raises DataError."""
+        target = tmp_path / "ds"
+        datasets = {seed: sample_dataset(seed=seed) for seed in range(8)}
+        saved, failures = [], []
+
+        def save_repeatedly(dataset):
+            for _ in range(5):
+                try:
+                    save_dataset(dataset, target)
+                    saved.append(dataset.seed)
+                except DataError:
+                    pass
+                except Exception as exc:  # anything else breaks the contract
+                    failures.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=save_repeatedly, args=(d,)) for d in datasets.values()]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        loaded = load_dataset(target)
+        assert loaded.seed in saved
+        assert np.array_equal(loaded.sequences, datasets[loaded.seed].sequences)
+        assert siblings(target) == []
 
 
 class TestDatasetCorruption:
@@ -382,6 +504,12 @@ class TestJsonConfig:
         save_json({"a": 1}, tmp_path / "deep" / "nested" / "cfg.json")
         assert load_json_config(tmp_path / "deep" / "nested" / "cfg.json") == {"a": 1}
 
+    def test_directory_target_is_data_error(self, tmp_path):
+        (tmp_path / "cfg.json").mkdir()
+        with pytest.raises(DataError, match="cfg.json"):
+            save_json({"a": 1}, tmp_path / "cfg.json")
+        assert siblings(tmp_path / "cfg.json") == []
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_json_config(tmp_path / "absent.json")
@@ -390,3 +518,118 @@ class TestJsonConfig:
         (tmp_path / "bad.json").write_text("{")
         with pytest.raises(ConfigError, match="JSON"):
             load_json_config(tmp_path / "bad.json")
+
+
+class TestWriteText:
+    def test_bytes_are_written_verbatim(self, tmp_path):
+        write_text(tmp_path / "a.csv", "x,y\r\n1,2\r\n")
+        assert (tmp_path / "a.csv").read_bytes() == b"x,y\r\n1,2\r\n"
+
+    def test_replaces_existing_file(self, tmp_path):
+        (tmp_path / "a.txt").write_text("old")
+        write_text(tmp_path / "a.txt", "new")
+        assert (tmp_path / "a.txt").read_text() == "new"
+        assert siblings(tmp_path / "a.txt") == []
+
+    def test_parent_that_is_a_file_is_data_error(self, tmp_path):
+        (tmp_path / "blocker").write_text("a file")
+        with pytest.raises(DataError, match="blocker"):
+            write_text(tmp_path / "blocker" / "a.txt", "text")
+
+
+# Property tests: fixed example sets (derandomize) keep Tier-1 reproducible.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+FAMILIES = [KernelFamily.MULTIQUADRIC, KernelFamily.INVERSE_MULTIQUADRIC, KernelFamily.GAUSSIAN]
+
+
+@st.composite
+def site_sets(draw, dim):
+    """Pairwise-distinct sites on a unit lattice, so every kernel system is well posed."""
+    cells = draw(st.lists(st.integers(0, 4**dim - 1), min_size=2, max_size=6, unique=True))
+    return SiteSet(np.array([[(c // 4**k) % 4 for k in range(dim)] for c in cells], dtype=float))
+
+
+@st.composite
+def datasets(draw):
+    sites = draw(site_sets(draw(st.integers(1, 3))))
+    counts = draw(st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(lambda s: s[0] > 0))
+    length = draw(st.integers(2, 5))
+    values = st.floats(-1e6, 1e6, allow_nan=False, width=64)
+    sequences = draw(hnp.arrays(np.float64, (sum(counts), length, sites.n), elements=values))
+    kernel = draw(st.none() | st.builds(RadialKernel, st.sampled_from(FAMILIES), st.floats(0.1, 10.0)))
+    dataset = SequenceDataset(
+        sites, sequences, tuple(counts), tau=draw(st.integers(1, length - 1)),
+        seed=draw(st.none() | st.integers(0, 2**31)), kernel=kernel,
+    )
+    return dataset.normalize() if draw(st.booleans()) else dataset
+
+
+@st.composite
+def models(draw):
+    dim = draw(st.integers(1, 2))
+    config = ModelConfig(
+        levels=draw(st.integers(0, 2)),
+        spatial_dim=dim,
+        feature_width=draw(st.integers(1, 3)),
+        s_alpha_hidden=(draw(st.integers(1, 4)), draw(st.integers(1, 4))),
+        nab_hidden=draw(st.integers(1, 3)),
+        rfn_hidden=draw(st.integers(1, 4)),
+    )
+    kernel = RadialKernel(draw(st.sampled_from(FAMILIES)), draw(st.floats(0.5, 2.0)))
+    model = UmtnModel.build(config, kernel, draw(site_sets(dim)), reg_lambda=draw(st.floats(0.0, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    for name in model.params.names():
+        model.params[name].values = rng.normal(size=model.params[name].values.shape)
+    return model
+
+
+def flip_one_byte(data, path):
+    """XOR one drawn byte of `path` with a drawn nonzero mask."""
+    blob = bytearray(path.read_bytes())
+    blob[data.draw(st.integers(0, len(blob) - 1), label="offset")] ^= data.draw(st.integers(1, 255), label="mask")
+    path.write_bytes(bytes(blob))
+
+
+class TestStorageProperties:
+    @PROPERTY
+    @given(dataset=datasets())
+    def test_dataset_round_trip(self, dataset):
+        with tempfile.TemporaryDirectory() as root:
+            save_dataset(dataset, Path(root) / "ds")
+            loaded = load_dataset(Path(root) / "ds")
+        assert np.array_equal(loaded.sites.sites, dataset.sites.sites)
+        assert np.array_equal(loaded.sequences, dataset.sequences)
+        for attr in ("split", "tau", "normalized", "mean", "variance", "seed", "kernel"):
+            assert getattr(loaded, attr) == getattr(dataset, attr), attr
+
+    @PROPERTY
+    @given(model=models())
+    def test_checkpoint_round_trip(self, model):
+        with tempfile.TemporaryDirectory() as root:
+            save_checkpoint(model, Path(root) / "ck")
+            loaded = load_checkpoint(Path(root) / "ck")
+        assert loaded.config == model.config
+        assert loaded.geometry.kernel == model.geometry.kernel
+        assert loaded.geometry.reg_lambda == model.geometry.reg_lambda
+        assert loaded.geometry.site_hash == model.geometry.site_hash
+        assert loaded.params.names() == model.params.names()
+        for name in model.params.names():
+            assert np.array_equal(loaded.params[name].values, model.params[name].values)
+
+    @PROPERTY
+    @given(dataset=datasets(), data=st.data())
+    def test_dataset_byte_flip_is_data_error(self, dataset, data):
+        with tempfile.TemporaryDirectory() as root:
+            save_dataset(dataset, Path(root) / "ds")
+            flip_one_byte(data, Path(root) / "ds" / data.draw(st.sampled_from(["sites.bin", "sequences.bin"])))
+            with pytest.raises(DataError):
+                load_dataset(Path(root) / "ds")
+
+    @PROPERTY
+    @given(model=models(), data=st.data())
+    def test_checkpoint_byte_flip_is_data_error(self, model, data):
+        with tempfile.TemporaryDirectory() as root:
+            save_checkpoint(model, Path(root) / "ck")
+            flip_one_byte(data, Path(root) / "ck" / data.draw(st.sampled_from(["sites.bin", "params.bin"])))
+            with pytest.raises(DataError):
+                load_checkpoint(Path(root) / "ck")
