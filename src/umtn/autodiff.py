@@ -173,11 +173,6 @@ def permute(x, axes: tuple[int, ...]) -> Tensor:
     )
 
 
-def relu(x) -> Tensor:
-    x = _as_tensor(x)
-    return _record(np.maximum(x.values, 0.0), (x,), lambda g: (g * (x.values > 0.0),))
-
-
 def sum(x) -> Tensor:  # noqa: A001 - numpy-style name, accessed as autodiff.sum
     x = _as_tensor(x)
     return _record(
@@ -257,6 +252,49 @@ def gru_cell(x, h, w, u_zr, u_h, b) -> Tensor:
         )
 
     return _record(h_new, (x, h, w, u_zr, u_h, b), backward)
+
+
+def mlp(x, layers: Sequence[tuple]) -> Tensor:
+    """A dense stack on the rows of `x` (N, D), as one node.
+
+    `layers` is [(w0, b0), (w1, b1), ...] with w_i (D_i, D_{i+1}) and b_i
+    (D_{i+1},); every layer but the last is followed by a ReLU.  Each layer
+    adds its bias (and applies its ReLU) in place on the fresh matmul output,
+    and the node keeps only the layer inputs: `x` and the post-ReLU blocks.
+    The backward reads each ReLU mask off the post-ReLU values, which are
+    positive exactly where their pre-activations were.
+    """
+    x = _as_tensor(x)
+    layers = [(_as_tensor(w), _as_tensor(b)) for w, b in layers]
+    if not layers:
+        raise ValueError("mlp: need at least one layer")
+    width = x.shape[-1] if x.values.ndim == 2 else None
+    for w, b in layers:
+        if w.values.ndim != 2 or w.shape[0] != width or b.shape != w.shape[1:]:
+            raise ValueError(
+                f"mlp: shapes x {x.shape} and layers {[(w.shape, b.shape) for w, b in layers]} "
+                "do not fit together"
+            )
+        width = w.shape[1]
+    inputs = [x.values]  # inputs[i] feeds layer i
+    for i, (w, b) in enumerate(layers):
+        out = inputs[-1] @ w.values
+        out += b.values
+        if i < len(layers) - 1:
+            inputs.append(np.maximum(out, 0.0, out=out))
+
+    def backward(g):
+        grads = []  # d_w0, d_b0, d_w1, d_b1, ...
+        for i in reversed(range(len(layers))):
+            w, b = layers[i]
+            d_w = inputs[i].T @ g if w.requires_grad else None
+            grads[:0] = [d_w, g.sum(axis=0) if b.requires_grad else None]
+            if i:
+                g = g @ w.values.T  # fresh, so the mask may be applied in place
+                np.multiply(g, inputs[i] > 0.0, out=g)
+        return (g @ layers[0][0].values.T if x.requires_grad else None, *grads)
+
+    return _record(out, (x, *(t for pair in layers for t in pair)), backward)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

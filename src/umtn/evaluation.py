@@ -4,6 +4,10 @@ All scores are computed on normalized measurements (training-split mean and
 std).  A "run" is one independently trained model; passing several gives the
 mean and sample standard deviation across them, matching the
 repeat-three-times reporting convention.
+
+Forecasts run graph-free in blocks of at most FORECAST_ROWS rows (sites x
+sequences), so the transient memory of scoring a split does not grow with
+its size.
 """
 
 from __future__ import annotations
@@ -13,9 +17,34 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .autodiff import no_grad
 from .datagen import SequenceDataset
 from .errors import ConfigError
 from .model import UmtnModel, require_same_sites
+
+
+# Rows (sites x sequences) of one forecast block.  A block's rollout holds a
+# few dozen arrays of rows x 64 at once (GRU state and gates, level
+# features); 4096 rows are 22 sequences at 180 sites and 64 at 64 sites.
+FORECAST_ROWS = 4096
+
+
+def forecast(model: UmtnModel, observed: np.ndarray, horizon: int) -> np.ndarray:
+    """Closed-loop (teacher_prob = 0) forecasts of (N, tau, n) observed frames.
+
+    The sequences are rolled out in blocks of max(1, FORECAST_ROWS // n),
+    which share one evaluation of the spatial net; returns the (N, horizon, n)
+    predicted steps.
+    """
+    observed = np.asarray(observed, dtype=float)
+    per_block = max(1, FORECAST_ROWS // model.geometry.n)
+    predictions = np.empty((observed.shape[0], horizon, model.geometry.n))
+    with no_grad():
+        operator = model.spatial_feature_tensors()
+    for start in range(0, observed.shape[0], per_block):
+        stop = start + per_block
+        predictions[start:stop] = model.rollout(observed[start:stop], horizon, operator=operator).predictions
+    return predictions
 
 
 def mae(truth: np.ndarray, pred: np.ndarray) -> float:
@@ -100,9 +129,9 @@ def evaluate_model(
 ) -> EvalReport:
     """Closed-loop MAE of one or more trained models over a split.
 
-    Each model is rolled out with teacher_prob = 0 on the whole split as one
-    batch; per-sequence errors are averaged into one MAE per model, then
-    aggregated across models.  Parameters are never modified.
+    Each model forecasts the whole split (`forecast`); per-sequence errors
+    are averaged into one MAE per model, then aggregated across models.
+    Parameters are never modified.
     """
     if isinstance(models, UmtnModel):
         models = [models]
@@ -118,7 +147,7 @@ def evaluate_model(
 
     errors = np.empty((len(models), values.shape[0], horizon, dataset.sites.n))
     for r, model in enumerate(models):
-        errors[r] = np.abs(values[:, tau:] - model.rollout(values[:, :tau], horizon).predictions)
+        errors[r] = np.abs(values[:, tau:] - forecast(model, values[:, :tau], horizon))
     return _aggregate(errors, tau, horizon, split, seeds)
 
 

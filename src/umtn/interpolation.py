@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConditioningError, DataError
 from .kernels import RadialKernel, kernel_eval
@@ -25,6 +24,17 @@ from .kernels import RadialKernel, kernel_eval
 # Solve reliability guards for double precision.
 COND_WARN = 1e10
 COND_FAIL = 1e14
+
+
+def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of `a` (m x d) and of `b` (k x d), m x k.
+
+    Each entry sums the squared coordinate differences in order and takes the
+    root, the same operations as scipy's `cdist`, so the two agree bit for bit
+    (an einsum or Gram-matrix form does not).
+    """
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
 
 
 class SiteSet:
@@ -51,9 +61,7 @@ class SiteSet:
 
     def distance_matrix(self) -> np.ndarray:
         if self._distances is None:
-            d = cdist(self.sites, self.sites)
-            np.fill_diagonal(d, 0.0)
-            self._distances = d
+            self._distances = pairwise_distances(self.sites, self.sites)
         return self._distances
 
     def min_pairwise_distance(self) -> float:
@@ -143,7 +151,7 @@ def evaluate_interpolant(
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if queries.shape[1] != sites.dim:
         raise ValueError(f"queries have dimension {queries.shape[1]}, sites have {sites.dim}")
-    basis = kernel_eval(kernel, cdist(queries, sites.sites))
+    basis = kernel_eval(kernel, pairwise_distances(queries, sites.sites))
     return basis @ coeffs
 
 

@@ -117,13 +117,8 @@ def _register_mlp(store: ParameterStore, rng, prefix: str, widths: Sequence[int]
 
 
 def _mlp_forward(store: ParameterStore, prefix: str, x: Tensor, n_layers: int) -> Tensor:
-    """ReLU-activated hidden layers, linear output layer."""
-    h = x
-    for i in range(n_layers):
-        h = ad.add(ad.matmul(h, store[f"{prefix}.w{i}"]), store[f"{prefix}.b{i}"])
-        if i < n_layers - 1:
-            h = ad.relu(h)
-    return h
+    """ReLU-activated hidden layers, linear output layer, as one `ad.mlp` node."""
+    return ad.mlp(x, [(store[f"{prefix}.w{i}"], store[f"{prefix}.b{i}"]) for i in range(n_layers)])
 
 
 def _stacked_operator(params: ParameterStore, prefix: str, geometry: SiteGeometry, width: int) -> Tensor:
@@ -182,9 +177,7 @@ def lstb_forward(operator, g_matrix, coeffs) -> Tensor:
 def nab_forward(gamma: Sequence, features) -> Tensor:
     """Per-site aggregation of an n x F feature block down to one column."""
     w0, b0, w1, b1 = gamma
-    x = features if isinstance(features, Tensor) else Tensor(features)
-    h = ad.relu(ad.add(ad.matmul(x, w0), b0))
-    return ad.add(ad.matmul(h, w1), b1)
+    return ad.mlp(features, [(w0, b0), (w1, b1)])
 
 
 def rfn_step(weights: RfnWeights, inputs, hidden) -> tuple[Tensor, Tensor]:
@@ -391,6 +384,7 @@ class UmtnModel:
         teacher_prob: float = 0.0,
         rng: Optional[np.random.Generator] = None,
         record: bool = False,
+        operator: Optional[Tensor] = None,
     ) -> RolloutResult:
         """Predict hat-u_1 .. hat-u_{tau + horizon - 1} from tau observed frames.
 
@@ -403,12 +397,14 @@ class UmtnModel:
         input is its teacher frame with probability `teacher_prob` per step
         (seeded draw), otherwise the model's previous prediction.  With
         `record`, the returned result carries the prediction tensors for loss
-        construction.
+        construction.  `operator`, when given, stands for
+        `spatial_feature_tensors()`, so batches rolled out with unchanged
+        parameters can share one evaluation of the spatial net.
         """
         inputs = _RolloutInputs(self.geometry.n, observed, horizon, teacher_values, teacher_prob, rng)
         n, batch = self.geometry.n, inputs.batch
         with _recording(record):
-            operator = self.spatial_feature_tensors()
+            operator = operator if operator is not None else self.spatial_feature_tensors()
             fit = Tensor(self.geometry.fit)
             weights = self._rfn_weights()
             hidden = Tensor(np.zeros((n * batch, self.config.rfn_hidden)))

@@ -123,20 +123,35 @@ def _write_payload(directory: Path, name: str, array: np.ndarray) -> dict:
     }
 
 
+@contextmanager
+def _manifest_field(field: str) -> Iterator[None]:
+    """Report a manifest value that does not make a valid object as DataError.
+
+    Inside the block, the errors of turning `field` into an object (a missing
+    key, a wrong type or value, an inconsistent config) mean the manifest is
+    corrupt, not that the caller erred.
+    """
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise DataError(f"manifest field {field!r} is invalid: {exc!r}") from exc
+
+
 def _read_payload(directory: Path, name: str, meta: dict) -> np.ndarray:
     path = directory / name
     if not path.exists():
         raise DataError(f"missing payload {name}")
     data = path.read_bytes()
-    expected = int(np.prod(meta["shape"])) * 8
-    if len(data) != expected:
-        raise TruncatedPayloadError(
-            f"payload {name}: expected {expected} bytes, found {len(data)}"
-        )
-    digest = hashlib.sha256(data).hexdigest()
-    if digest != meta["sha256"]:
-        raise ChecksumError(f"payload {name}: checksum mismatch")
-    values = np.frombuffer(data, dtype="<f8").reshape(meta["shape"]).astype(float)
+    with _manifest_field(f"payloads[{name}]"):
+        expected = int(np.prod(meta["shape"])) * 8
+        if len(data) != expected:
+            raise TruncatedPayloadError(
+                f"payload {name}: expected {expected} bytes, found {len(data)}"
+            )
+        digest = hashlib.sha256(data).hexdigest()
+        if digest != meta["sha256"]:
+            raise ChecksumError(f"payload {name}: checksum mismatch")
+        values = np.frombuffer(data, dtype="<f8").reshape(meta["shape"]).astype(float)
     if not np.all(np.isfinite(values)):
         raise DataError(f"payload {name} contains non-finite values")
     return values
@@ -208,17 +223,20 @@ def load_dataset(path: Union[str, Path]) -> SequenceDataset:
     if list(sequences.shape) != expected:
         raise DataError("sequences payload shape disagrees with the manifest")
     kernel = manifest.get("kernel")
-    return SequenceDataset(
-        SiteSet(sites),
-        sequences,
-        tuple(manifest["split"]),
-        manifest["tau"],
-        mean=manifest["mean"],
-        variance=manifest["variance"],
-        normalized=manifest["normalized"],
-        seed=manifest["seed"],
-        kernel=RadialKernel.from_dict(kernel) if kernel is not None else None,
-    )
+    with _manifest_field("kernel"):
+        kernel = RadialKernel.from_dict(kernel) if kernel is not None else None
+    with _manifest_field("split, tau, mean, variance, normalized or seed"):
+        return SequenceDataset(
+            SiteSet(sites),
+            sequences,
+            tuple(manifest["split"]),
+            manifest["tau"],
+            mean=manifest["mean"],
+            variance=manifest["variance"],
+            normalized=manifest["normalized"],
+            seed=manifest["seed"],
+            kernel=kernel,
+        )
 
 
 def save_checkpoint(
@@ -259,9 +277,12 @@ def load_checkpoint(path: Union[str, Path]) -> UmtnModel:
     site_set = SiteSet(sites)
     if site_set.content_hash() != manifest["site_hash"]:
         raise DataError("checkpoint site hash does not match the stored sites")
-    config = ModelConfig.from_dict(manifest["model_config"])
-    kernel = RadialKernel.from_dict(manifest["kernel"])
-    geometry = SiteGeometry(kernel, site_set, reg_lambda=manifest["reg_lambda"])
+    with _manifest_field("model_config"):
+        config = ModelConfig.from_dict(manifest["model_config"])
+    with _manifest_field("kernel"):
+        kernel = RadialKernel.from_dict(manifest["kernel"])
+    with _manifest_field("reg_lambda"):
+        geometry = SiteGeometry(kernel, site_set, reg_lambda=manifest["reg_lambda"])
     params = UmtnModel.initialize_params(config, seed=0)
     params_path = directory / "params.bin"
     if not params_path.exists():
@@ -269,21 +290,23 @@ def load_checkpoint(path: Union[str, Path]) -> UmtnModel:
     blob = params_path.read_bytes()
     if hashlib.sha256(blob).hexdigest() != manifest["params_sha256"]:
         raise ChecksumError("payload params.bin: checksum mismatch")
-    offset = 0
-    stored = {entry["name"]: entry["shape"] for entry in manifest["parameters"]}
-    if set(stored) != set(params.names()):
+    with _manifest_field("parameters"):
+        entries = [(entry["name"], tuple(entry["shape"])) for entry in manifest["parameters"]]
+    if sorted(name for name, _ in entries) != sorted(params.names()):
         raise DataError("checkpoint parameter names do not match the model config")
-    for entry in manifest["parameters"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    offset = 0
+    for name, shape in entries:
+        if shape != params[name].shape:
+            raise DataError(f"parameter {name} has shape {shape}, the model config gives {params[name].shape}")
+        count = params[name].values.size
         chunk = blob[offset : offset + count * 8]
         if len(chunk) != count * 8:
-            raise TruncatedPayloadError(f"payload params.bin: truncated at {entry['name']}")
+            raise TruncatedPayloadError(f"payload params.bin: truncated at {name}")
         offset += count * 8
-        values = np.frombuffer(chunk, dtype="<f8").reshape(shape).astype(float)
+        values = np.frombuffer(chunk, dtype="<f8").reshape(params[name].shape).astype(float)
         if not np.all(np.isfinite(values)):
-            raise DataError(f"parameter {entry['name']} contains non-finite values")
-        params[entry["name"]].values = values
+            raise DataError(f"parameter {name} contains non-finite values")
+        params[name].values = values
     if offset != len(blob):
         raise TruncatedPayloadError("payload params.bin: trailing bytes")
     return UmtnModel(config, geometry, params)
@@ -291,7 +314,10 @@ def load_checkpoint(path: Union[str, Path]) -> UmtnModel:
 
 def checkpoint_extra(path: Union[str, Path]) -> dict:
     """The free-form metadata stored alongside a checkpoint."""
-    return _load_manifest(Path(path), "checkpoint").get("extra", {})
+    extra = _load_manifest(Path(path), "checkpoint").get("extra", {})
+    if not isinstance(extra, dict):
+        raise DataError(f"checkpoint manifest field 'extra' holds a JSON {type(extra).__name__}, expected an object")
+    return extra
 
 
 def _read_csv_rows(path: Union[str, Path], required: list[str]) -> list[dict]:

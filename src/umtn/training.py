@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, adam_step, backward
 from .datagen import SequenceDataset
 from .errors import ConfigError, DivergenceError
-from .evaluation import mae
+from .evaluation import forecast, mae
 from .model import UmtnModel, require_same_sites
 
 
@@ -104,13 +104,12 @@ def sequence_loss(result, targets: np.ndarray) -> Tensor:
 
 
 def validation_mae(model: UmtnModel, dataset: SequenceDataset, split: str = "val") -> float:
-    """Closed-loop forecast MAE over a split's sequences, rolled out as one batch."""
+    """Closed-loop forecast MAE over a split's sequences (`evaluation.forecast`)."""
     tau = dataset.tau
     values = dataset.split_values(split)
     if values.shape[0] == 0:
         raise ConfigError(f"{split} split is empty")
-    result = model.rollout(values[:, :tau], dataset.horizon)
-    return mae(values[:, tau:], result.predictions)
+    return mae(values[:, tau:], forecast(model, values[:, :tau], dataset.horizon))
 
 
 def train_loop(model: UmtnModel, dataset: SequenceDataset, config: TrainConfig) -> TrainResult:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from activations import sigmoid, tanh
+from activations import relu, sigmoid, tanh
 from umtn import autodiff as ad
 from umtn.autodiff import ParameterStore, Tensor, gradient_check
 from umtn.collocation import CollocationStepper, operator_matrix, solve_ivp
@@ -100,13 +100,17 @@ def test_gradient_suite():
             store_of(a=(2, 3, 4), b=(4, 2, 3)),
             lambda s: ad.sum(sigmoid(ad.multiply(ad.permute(s["a"], (2, 0, 1)), s["b"]))),
         ),
-        "relu": (store_of(a=(4, 4),), lambda s: ad.sum(ad.relu(s["a"]))),
+        "relu": (store_of(a=(4, 4),), lambda s: ad.sum(relu(s["a"]))),
         "sigmoid": (store_of(a=(5,),), lambda s: ad.sum(sigmoid(s["a"]))),
         "tanh": (store_of(a=(5,),), lambda s: ad.sum(tanh(s["a"]))),
         "sum": (store_of(a=(3, 3),), lambda s: ad.sum(ad.multiply(s["a"], s["a"]))),
         "gru_cell": (
             store_of(x=(4, 3), h=(4, 2), w=(3, 6), u_zr=(2, 4), u_h=(2, 2), b=(6,)),
             lambda s: ad.sum(sigmoid(ad.gru_cell(s["x"], s["h"], s["w"], s["u_zr"], s["u_h"], s["b"]))),
+        ),
+        "mlp": (
+            store_of(x=(5, 3), w0=(3, 4), b0=(4,), w1=(4, 2), b1=(2,)),
+            lambda s: ad.sum(tanh(ad.mlp(s["x"], [(s["w0"], s["b0"]), (s["w1"], s["b1"])]))),
         ),
     }
     worst = 0.0

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from activations import sigmoid, tanh
+from activations import relu, sigmoid, tanh
 from umtn import autodiff as ad
 from umtn.autodiff import ParameterStore, Tensor, adam_step, backward, gradient_check, no_grad
 from umtn.errors import NumericalError
@@ -33,12 +33,12 @@ class TestPrimitiveForward:
 
     def test_activations_at_zero(self):
         z = leaf([0.0])
-        assert ad.relu(z).values[0] == 0.0
+        assert relu(z).values[0] == 0.0
         assert sigmoid(z).values[0] == 0.5
         assert tanh(z).values[0] == 0.0
 
     def test_relu_clamps(self):
-        assert_allclose(ad.relu(leaf([-2.0, 3.0])).values, [0.0, 3.0])
+        assert_allclose(relu(leaf([-2.0, 3.0])).values, [0.0, 3.0])
 
     def test_concat_joins_last_axis(self):
         a, b = leaf([[1.0, 2.0]]), leaf([[3.0]])
@@ -102,7 +102,7 @@ class TestBackwardGradients:
 
     def test_relu_gates_gradient(self):
         x = leaf([-1.0, 2.0])
-        backward(ad.sum(ad.relu(x)))
+        backward(ad.sum(relu(x)))
         assert_allclose(x.grad, [0.0, 1.0])
 
     def test_sigmoid_gradient_quarter_at_zero(self):
@@ -256,6 +256,92 @@ class TestGruCell:
                         np.zeros((4, 4)), np.zeros(11))
 
 
+def unfused_mlp(x, layers):
+    """The dense stack of `ad.mlp` spelled out in matmul, add and relu nodes."""
+    h = x
+    for i, (w, b) in enumerate(layers):
+        h = ad.add(ad.matmul(h, w), b)
+        if i < len(layers) - 1:
+            h = relu(h)
+    return h
+
+
+def mlp_gradients(build, arrays, trainable, weight):
+    """Output values and operand gradients of `build(x, layers)` under a weighted sum."""
+    tensors = [Tensor(a, requires_grad=t) for a, t in zip(arrays, trainable)]
+    x, rest = tensors[0], tensors[1:]
+    out = build(x, list(zip(rest[::2], rest[1::2])))
+    backward(ad.sum(ad.multiply(out, Tensor(weight))))
+    return out.values, [t.grad for t in tensors]
+
+
+class TestMlp:
+    @staticmethod
+    def operands(rows, widths, seed):
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(size=(rows, widths[0]))]
+        for w_in, w_out in zip(widths[:-1], widths[1:]):
+            arrays += [rng.normal(size=(w_in, w_out)), rng.normal(size=w_out)]
+        return arrays, rng.normal(size=(rows, widths[-1]))
+
+    def test_forward_is_bitwise_the_unfused_chain(self):
+        arrays, _ = self.operands(7, (5, 6, 4, 3), seed=50)
+        layers = list(zip(arrays[1::2], arrays[2::2]))
+        assert np.array_equal(ad.mlp(arrays[0], layers).values, unfused_mlp(Tensor(arrays[0]), layers).values)
+
+    def test_gradients_match_the_unfused_chain(self):
+        arrays, weight = self.operands(7, (5, 6, 4, 3), seed=51)
+        trainable = [True] * len(arrays)
+        _, fused = mlp_gradients(ad.mlp, arrays, trainable, weight)
+        _, chain = mlp_gradients(unfused_mlp, arrays, trainable, weight)
+        for got, expected in zip(fused, chain):
+            assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+    def test_relu_between_layers_only(self):
+        eye = np.eye(2)
+        out = ad.mlp([[-1.0, 2.0]], [(eye, np.zeros(2)), (-eye, np.zeros(2))])
+        assert_allclose(out.values, [[0.0, -2.0]])  # hidden ReLU clamps, the last layer stays linear
+
+    def test_constant_operands_get_no_gradient(self):
+        arrays, weight = self.operands(4, (3, 5, 2), seed=52)
+        _, grads = mlp_gradients(ad.mlp, arrays, [False, False, False, True, True], weight)
+        assert grads[:3] == [None, None, None]
+        assert grads[3] is not None and grads[4] is not None
+
+    @pytest.mark.parametrize(
+        "x, layers",
+        [
+            (np.zeros((2, 3)), []),
+            (np.zeros(3), [(np.zeros((3, 2)), np.zeros(2))]),
+            (np.zeros((2, 3)), [(np.zeros((4, 2)), np.zeros(2))]),
+            (np.zeros((2, 3)), [(np.zeros((3, 2)), np.zeros(3))]),
+        ],
+    )
+    def test_shape_mismatch_rejected(self, x, layers):
+        with pytest.raises(ValueError, match="mlp"):
+            ad.mlp(x, layers)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        rows=st.integers(1, 6),
+        widths=st.lists(st.integers(1, 5), min_size=2, max_size=5),
+        data=st.data(),
+        seed=st.integers(0, 2**31),
+    )
+    def test_agrees_with_the_unfused_chain(self, rows, widths, data, seed):
+        """Any depth, widths and mix of constant and trainable operands."""
+        arrays, weight = self.operands(rows, widths, seed)
+        trainable = data.draw(st.lists(st.booleans(), min_size=len(arrays), max_size=len(arrays)))
+        fused_out, fused = mlp_gradients(ad.mlp, arrays, trainable, weight)
+        chain_out, chain = mlp_gradients(unfused_mlp, arrays, trainable, weight)
+        assert np.array_equal(fused_out, chain_out)
+        for got, expected, t in zip(fused, chain, trainable):
+            if t:
+                assert_allclose(got, expected, rtol=1e-12, atol=0)
+            else:
+                assert got is None and expected is None
+
+
 def random_composite(seed):
     """A small random program over registered parameters, returned as a loss fn."""
     rng = np.random.default_rng(seed)
@@ -264,7 +350,7 @@ def random_composite(seed):
     store.register("w", rng.normal(size=(m, k)))
     store.register("v", rng.normal(size=(k, n)))
     store.register("b", rng.normal(size=(m, n)))
-    activation = [ad.relu, sigmoid, tanh][seed % 3]
+    activation = [relu, sigmoid, tanh][seed % 3]
     combiner = [ad.add, ad.subtract, ad.multiply][seed % 3]
 
     def loss(s):

@@ -1,9 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import umtn
 from umtn.cli import main
 from umtn.collocation import CollocationStepper, solve_ivp
 from umtn.interpolation import build_phi
@@ -572,3 +577,14 @@ class TestParser:
         out = capsys.readouterr().out
         for command in ("gen-data", "tune-kernel", "solve", "train", "eval", "predict", "export-report"):
             assert command in out
+
+
+def test_package_import_loads_no_scipy():
+    """The runtime depends on numpy alone: importing the package and its CLI
+    pulls in no scipy module."""
+    src = str(Path(umtn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, umtn, umtn.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from umtn import evaluation
 from umtn.datagen import SequenceDataset
 from umtn.errors import ConfigError, DataError
 from umtn.evaluation import EvalReport, evaluate_model, mae, persistence_baseline
@@ -126,6 +127,47 @@ class TestEvaluateModel:
         assert data["protocol"] == {"tau": 2, "horizon": 3, "n_runs": 1, "split": "test"}
         assert len(data["per_step"]) == 3
         assert isinstance(data["per_step"][0], float)
+
+
+class TestForecastBlocks:
+    """A split larger than FORECAST_ROWS rows is forecast in bounded blocks."""
+
+    N_SITES, N_TEST, TAU, HORIZON = 20, 250, 2, 3  # 5000 rows, blocks of 204 sequences
+
+    @pytest.fixture
+    def case(self):
+        rng = np.random.default_rng(13)
+        sites = SiteSet(rng.uniform(0.0, 2.0, (self.N_SITES, 2)))
+        seqs = rng.normal(size=(self.N_TEST + 2, self.TAU + self.HORIZON, self.N_SITES))
+        ds = SequenceDataset(sites, seqs, (1, 1, self.N_TEST), tau=self.TAU, mean=0.0, variance=1.0, normalized=True)
+        return ds, UmtnModel.build(TINY, MQ, sites, seed=3)
+
+    def test_rollouts_never_exceed_the_block(self, case, monkeypatch):
+        ds, model = case
+        rows = []
+        rollout = UmtnModel.rollout
+
+        def counted(self, observed, *args, **kwargs):
+            rows.append(observed.shape[0] * observed.shape[-1])
+            return rollout(self, observed, *args, **kwargs)
+
+        spatial_net = UmtnModel.spatial_feature_tensors
+        nets = []
+        monkeypatch.setattr(UmtnModel, "rollout", counted)
+        monkeypatch.setattr(UmtnModel, "spatial_feature_tensors", lambda self: nets.append(1) or spatial_net(self))
+        evaluate_model(model, ds)
+        assert self.N_TEST * self.N_SITES > evaluation.FORECAST_ROWS
+        assert len(rows) > 1 and max(rows) <= evaluation.FORECAST_ROWS
+        assert sum(rows) == self.N_TEST * self.N_SITES
+        assert len(nets) == 1  # the blocks share one evaluation of the spatial net
+
+    def test_breakdowns_match_one_batch_rollout(self, case):
+        ds, model = case
+        test = ds.split_values("test")
+        abs_err = np.abs(test[:, self.TAU :] - model.rollout(test[:, : self.TAU], self.HORIZON).predictions)
+        report = evaluate_model(model, ds)
+        assert_allclose(report.per_step, abs_err.mean(axis=(0, 2)), rtol=0, atol=1e-11)
+        assert_allclose(report.per_site, abs_err.mean(axis=(0, 1)), rtol=0, atol=1e-11)
 
 
 class TestPersistenceBaseline:

@@ -13,6 +13,7 @@ from umtn.interpolation import (
     evaluate_interpolant,
     inverse_scale_factor,
     loocv_select_kernel,
+    pairwise_distances,
     scaled_inverse,
 )
 from umtn.kernels import KernelFamily, RadialKernel, kernel_eval
@@ -149,6 +150,23 @@ class TestFitCoefficients:
         system = build_phi(MQ1, np.array([[0.0], [1.0]]))
         with pytest.raises(ValueError):
             system.fit_matrix(-1e-3)
+
+
+class TestPairwiseDistances:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_bitwise_equal_to_cdist(self, seed):
+        """scipy's cdist stays in the tests as the oracle of the numpy form."""
+        rng = np.random.default_rng(seed)
+        dim = 1 + seed % 3
+        scale = 10.0 ** rng.uniform(-3, 3)
+        a = rng.uniform(-scale, scale, (rng.integers(1, 40), dim))
+        b = rng.uniform(-scale, scale, (rng.integers(1, 40), dim))
+        assert np.array_equal(pairwise_distances(a, b), cdist(a, b))
+        assert np.array_equal(pairwise_distances(a, a), cdist(a, a))
+
+    def test_distance_matrix_has_zero_diagonal(self):
+        d = random_sites(7, 3, seed=4).distance_matrix()
+        assert np.all(np.diag(d) == 0.0) and np.array_equal(d, d.T)
 
 
 class TestEvaluateInterpolant:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -256,6 +258,22 @@ class TestSpatialFeatures:
         feats = build_spatial_features(model, model.geometry.site_set)
         assert feats.shape == (8, 6, 6)
 
+    def test_graph_holds_only_layer_inputs_and_output(self):
+        """At n=64 the recorded spatial net holds the pair inputs, the two
+        post-ReLU blocks, the output and its permuted copy, and no more."""
+        model = small_model(levels=1, n=64)
+        config = model.config
+        h1, h2 = config.s_alpha_hidden
+        columns = config.s_input_width + h1 + h2 + 2 * config.feature_width
+        tracemalloc.start()
+        try:
+            operator = model.spatial_feature_tensors()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert operator.requires_grad
+        assert held <= 1.1 * 8 * 64 * 64 * columns
+
 
 class TestMultilevelFeatures:
     def test_level_zero_is_interpolated_field(self):
@@ -339,6 +357,14 @@ class TestRollout:
         assert result.all_values.shape == (6, 5)
         assert result.predictions.shape == (4, 5)
         assert result.warmup.shape == (2, 5)
+
+    def test_precomputed_operator_gives_the_same_rollout(self):
+        model = small_model(levels=2, n=5)
+        observed, _ = self.make_inputs(model, tau=3, horizon=4)
+        with ad.no_grad():
+            operator = model.spatial_feature_tensors()
+        shared = model.rollout(observed, horizon=4, operator=operator)
+        assert np.array_equal(shared.all_values, model.rollout(observed, horizon=4).all_values)
 
     def test_zero_horizon(self):
         model = small_model(levels=1, n=5)

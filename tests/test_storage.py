@@ -590,6 +590,62 @@ def flip_one_byte(data, path):
     path.write_bytes(bytes(blob))
 
 
+FLIP_MASKS = (0x01, 0x02, 0x10, 0x20)
+
+
+def manifest_flip_escapes(directory, load):
+    """Load `directory` once per manifest byte and mask in FLIP_MASKS, with
+    that bit pattern flipped; returns every outcome that is neither a clean
+    load nor a DataError."""
+    path = directory / "manifest.json"
+    original = path.read_bytes()
+    escaped = []
+    try:
+        for offset in range(len(original)):
+            for mask in FLIP_MASKS:
+                flipped = bytearray(original)
+                flipped[offset] ^= mask
+                path.write_bytes(bytes(flipped))
+                try:
+                    load(directory)
+                except DataError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - any other escape is the failure
+                    escaped.append((offset, mask, repr(exc)))
+    finally:
+        path.write_bytes(original)
+    return escaped
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+class TestManifestByteFlips:
+    """Every single-byte corruption of a manifest loads or raises DataError,
+    so the CLI exits 3 rather than 2 or with a traceback."""
+
+    def test_checkpoint_manifest(self, tmp_path):
+        save_checkpoint(sample_model(), tmp_path / "ck", extra={"epochs": 3, "train_config": {"tau": 2}})
+        for load in (load_checkpoint, checkpoint_extra):
+            escaped = manifest_flip_escapes(tmp_path / "ck", load)
+            assert not escaped, f"{len(escaped)} flips escaped {load.__name__}, e.g. {escaped[:3]}"
+
+    def test_dataset_manifest(self, tmp_path):
+        save_dataset(sample_dataset(seed=5, kernel=MQ), tmp_path / "ds")
+        escaped = manifest_flip_escapes(tmp_path / "ds", load_dataset)
+        assert not escaped, f"{len(escaped)} flips escaped, e.g. {escaped[:3]}"
+
+    def test_extra_must_be_an_object(self, tmp_path):
+        save_checkpoint(sample_model(), tmp_path / "ck")
+        patch_manifest(tmp_path / "ck", lambda m: m.update(extra=[1, 2]))
+        with pytest.raises(DataError, match="extra"):
+            checkpoint_extra(tmp_path / "ck")
+
+    def test_error_names_the_field(self, tmp_path):
+        save_checkpoint(sample_model(), tmp_path / "ck")
+        patch_manifest(tmp_path / "ck", lambda m: m["kernel"].update(family="multiquadrix"))
+        with pytest.raises(DataError, match="field 'kernel'"):
+            load_checkpoint(tmp_path / "ck")
+
+
 class TestStorageProperties:
     @PROPERTY
     @given(dataset=datasets())
