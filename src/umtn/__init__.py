@@ -21,12 +21,11 @@ from .interpolation import (
     InterpolationSystem,
     SiteSet,
     build_phi,
-    evaluate_interpolant,
     loocv_select_kernel,
     scaled_inverse,
 )
 from .collocation import CollocationStepper, operator_matrix, solve_ivp
-from .datagen import ConvDiffConfig, SequenceDataset, generate_dataset, simulate_convdiff
+from .datagen import ConvDiffConfig, SequenceDataset, generate_dataset
 from .autodiff import ParameterStore, Tensor, adam_step, backward, gradient_check, no_grad
 from .model import (
     DrcConfig,
@@ -57,7 +56,6 @@ __all__ = [
     "SiteSet",
     "InterpolationSystem",
     "build_phi",
-    "evaluate_interpolant",
     "scaled_inverse",
     "loocv_select_kernel",
     "CollocationStepper",
@@ -66,7 +64,6 @@ __all__ = [
     "ConvDiffConfig",
     "SequenceDataset",
     "generate_dataset",
-    "simulate_convdiff",
     "Tensor",
     "ParameterStore",
     "no_grad",

@@ -9,11 +9,10 @@ links are immutable in practice and safe to share.
 
 from __future__ import annotations
 
-import builtins
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -178,7 +177,7 @@ def sum(x) -> Tensor:  # noqa: A001 - numpy-style name, accessed as autodiff.sum
     return _record(
         np.asarray(x.values.sum()),
         (x,),
-        lambda g: (np.broadcast_to(g, x.shape).copy() if np.ndim(g) == 0 else np.full(x.shape, g),),
+        lambda g: (np.full(x.shape, g),),
     )
 
 
@@ -380,9 +379,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def names(self) -> list[str]:
         return list(self._params)
 
@@ -391,10 +387,6 @@ class ParameterStore:
 
     def tensors(self):
         return self._params.values()
-
-    @property
-    def n_parameters(self) -> int:
-        return builtins.sum(t.values.size for t in self._params.values())
 
     def zero_grads(self) -> None:
         for t in self._params.values():

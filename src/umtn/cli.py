@@ -17,17 +17,17 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import storage
 from .collocation import CollocationStepper, solve_ivp
 from .datagen import ConvDiffConfig, generate_dataset
-from .errors import ConfigError, DataError, UmtnError
+from .errors import ConfigError, DataError, UmtnError, invalid_field
 from .evaluation import evaluate_model, persistence_baseline
 from .interpolation import build_phi, loocv_select_kernel
-from .kernels import KernelFamily, LinearOperatorSpec, RadialKernel
+from .kernels import LinearOperatorSpec, RadialKernel
 from .model import ModelConfig, UmtnModel, require_same_sites
 from .training import TrainConfig, train_loop
 
@@ -55,23 +55,38 @@ def _require_out(args) -> Path:
     return Path(args.out)
 
 
-def _kernel_from(data: dict) -> RadialKernel:
-    try:
-        family = KernelFamily(data["family"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad kernel spec {data!r}: {exc}") from exc
-    return RadialKernel(family, float(data.get("epsilon", 1.0)))
+_REQUIRED = object()
+
+
+def _config_value(config: dict, key: str, convert: Callable, default=_REQUIRED):
+    """`convert` applied to config[key], or to `default` when the key is absent.
+
+    A missing required key, or a value `convert` rejects (a wrong JSON type or
+    value), is a ConfigError naming the key: exit 2, never a traceback.
+    """
+    if key not in config and default is _REQUIRED:
+        raise ConfigError(f"config is missing {key!r}")
+    with invalid_field(f"config field {key!r}", ConfigError):
+        return convert(config.get(key, default))
+
+
+def _kernel_from(spec: dict) -> RadialKernel:
+    """A kernel from a {"family", "epsilon"} spec; epsilon defaults to 1."""
+    return RadialKernel.from_dict({"epsilon": 1.0, **spec})
+
+
+def _float_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
 
 
 def _cmd_gen_data(args) -> int:
     config = _load_config(args)
-    tau = int(config.pop("tau", 5))
+    tau = _config_value(config, "tau", int, 5)
+    fields = {key: value for key, value in config.items() if key != "tau"}
     if args.seed is not None:
-        config["seed"] = args.seed
-    try:
-        gen_config = ConvDiffConfig(**config)
-    except TypeError as exc:
-        raise ConfigError(f"bad gen-data config: {exc}") from exc
+        fields["seed"] = args.seed
+    with invalid_field("gen-data config", ConfigError):
+        gen_config = ConvDiffConfig(**fields)
     dataset = generate_dataset(gen_config, tau=tau)
     storage.save_dataset(dataset, _require_out(args))
     print(
@@ -86,8 +101,9 @@ def _cmd_tune_kernel(args) -> int:
     if args.data is None:
         raise ConfigError("tune-kernel requires --data")
     dataset = storage.load_dataset(args.data)
-    specs = config.get("candidates", DEFAULT_TUNE_CANDIDATES)
-    candidates = [_kernel_from(spec) for spec in specs]
+    candidates = _config_value(
+        config, "candidates", lambda specs: [_kernel_from(spec) for spec in specs], DEFAULT_TUNE_CANDIDATES
+    )
     seed = args.seed if args.seed is not None else 0
     best, scores = loocv_select_kernel(candidates, dataset, seed=seed)
     report = {
@@ -104,39 +120,42 @@ def _cmd_tune_kernel(args) -> int:
 
 
 def _constant_operator(spec: dict) -> LinearOperatorSpec:
-    convection = spec.get("convection")
-    diffusion = spec.get("diffusion")
-    reaction = spec.get("reaction")
-    conv_vec = None if convection is None else np.asarray(convection, dtype=float)
+    """Constant coefficient fields from {"convection", "diffusion", "reaction"}."""
+    convection, diffusion, reaction = (spec.get(key) for key in ("convection", "diffusion", "reaction"))
+    conv_vec = None if convection is None else _float_array(convection)
+    diffusion = None if diffusion is None else float(diffusion)
+    reaction = None if reaction is None else float(reaction)
     return LinearOperatorSpec(
         convection=None if conv_vec is None else (lambda point: conv_vec),
-        diffusion=None if diffusion is None else (lambda point: float(diffusion)),
-        reaction=None if reaction is None else (lambda point: float(reaction)),
+        diffusion=None if diffusion is None else (lambda point: diffusion),
+        reaction=None if reaction is None else (lambda point: reaction),
     )
+
+
+def _boundary(spec: Optional[dict]) -> tuple[list, float]:
+    """Dirichlet site indices and their constant value from {"indices", "value"}."""
+    spec = spec or {}
+    return [int(i) for i in spec.get("indices", [])], float(spec.get("value", 0.0))
 
 
 def _cmd_solve(args) -> int:
     config = _load_config(args)
-    for key in ("kernel", "sites", "dt", "t_end", "operator", "initial_values"):
-        if key not in config:
-            raise ConfigError(f"solve config is missing {key!r}")
-    kernel = _kernel_from(config["kernel"])
-    sites = np.asarray(config["sites"], dtype=float)
+    kernel = _config_value(config, "kernel", _kernel_from)
+    sites = _config_value(config, "sites", _float_array)
+    dt = _config_value(config, "dt", float)
+    t_end = _config_value(config, "t_end", float)
+    operator = _config_value(config, "operator", _constant_operator)
+    initial_values = _config_value(config, "initial_values", _float_array)
+    indices, value = _config_value(config, "boundary", _boundary, None)
     if sites.ndim == 1:
         sites = sites[:, None]
     system = build_phi(kernel, sites)
-    operator = _constant_operator(config["operator"])
-    boundary = config.get("boundary") or {}
-    indices = boundary.get("indices", [])
-    value = float(boundary.get("value", 0.0))
     callback = None
     if indices:
         fixed = np.full(len(indices), value)
         callback = lambda t: fixed  # noqa: E731 - tiny constant closure
-    stepper = CollocationStepper(
-        system, operator, float(config["dt"]), boundary_indices=indices, boundary_values=callback
-    )
-    trajectory = solve_ivp(stepper, np.asarray(config["initial_values"], dtype=float), float(config["t_end"]))
+    stepper = CollocationStepper(system, operator, dt, boundary_indices=indices, boundary_values=callback)
+    trajectory = solve_ivp(stepper, initial_values, t_end)
     result = {"times": trajectory.times.tolist(), "values": trajectory.values.tolist()}
     storage.save_json(result, _require_out(args))
     print(f"solved {len(trajectory) - 1} steps over {sites.shape[0]} sites")
@@ -148,42 +167,34 @@ def _cmd_train(args) -> int:
     if args.data is None:
         raise ConfigError("train requires --data")
     dataset = storage.load_dataset(args.data)
-    model_cfg = dict(config.get("model", {}))
-    model_cfg.setdefault("levels", 1)
-    model_cfg.setdefault("spatial_dim", dataset.sites.dim)
-    try:
-        model_config = ModelConfig(**model_cfg)
-    except TypeError as exc:
-        raise ConfigError(f"bad model config: {exc}") from exc
-    if "kernel" in config:
-        kernel = _kernel_from(config["kernel"])
-    elif dataset.kernel is not None:
-        kernel = dataset.kernel
-    else:
-        kernel = RadialKernel(KernelFamily.MULTIQUADRIC, 2.0)
-    reg_lambda = float(config.get("reg_lambda", 1e-2))
-    train_cfg = dict(config.get("train", {}))
-    train_cfg.setdefault("tau", dataset.tau)
-    train_cfg.setdefault("horizon", dataset.horizon)
-    if args.seed is not None:
-        train_cfg["seed"] = args.seed
-    try:
-        train_config = TrainConfig(**train_cfg)
-    except TypeError as exc:
-        raise ConfigError(f"bad train config: {exc}") from exc
+    model_config = _config_value(
+        config, "model", lambda fields: ModelConfig(**{"levels": 1, "spatial_dim": dataset.sites.dim, **fields}), {}
+    )
+    kernel = _config_value(config, "kernel", _kernel_from, {"family": "multiquadric", "epsilon": 2.0})
+    reg_lambda = _config_value(config, "reg_lambda", float, 1e-2)
+    seed = {} if args.seed is None else {"seed": args.seed}
+    train_config = _config_value(
+        config,
+        "train",
+        lambda fields: TrainConfig(**{"tau": dataset.tau, "horizon": dataset.horizon, **fields, **seed}),
+        {},
+    )
     # Checked before training so that a blocked save does not discard the run.
     out = storage.check_save_target(_require_out(args))
-    history = Path(args.history) if args.history else out / "history.csv"
-    if history.is_dir():
-        raise DataError(f"history target {history} is a directory")
+    if args.history and Path(args.history).is_dir():
+        raise DataError(f"history target {args.history} is a directory")
 
     model = UmtnModel.build(
         model_config, kernel, dataset.sites, reg_lambda=reg_lambda, seed=train_config.seed
     )
     result = train_loop(model, dataset, train_config)
+    rows = [(r.epoch, repr(r.train_loss), repr(r.val_mae)) for r in result.history]
+    history = _csv_text(["epoch", "train_loss", "val_mae"], rows)
+    # The default history is built with the checkpoint, so both appear or neither.
     storage.save_checkpoint(
         model,
         out,
+        history_csv=None if args.history else history,
         extra={
             "train_config": train_config.to_dict(),
             "best_epoch": result.best_epoch,
@@ -193,8 +204,8 @@ def _cmd_train(args) -> int:
             "dataset_seed": dataset.seed,
         },
     )
-    rows = [(r.epoch, repr(r.train_loss), repr(r.val_mae)) for r in result.history]
-    storage.write_text(history, _csv_text(["epoch", "train_loss", "val_mae"], rows))
+    if args.history:
+        storage.write_text(args.history, history)
     print(
         f"trained {len(result.history)} epochs; best val MAE {result.best_val_mae:.6f} "
         f"at epoch {result.best_epoch}; checkpoint at {out}"
@@ -246,7 +257,7 @@ def _cmd_predict(args) -> int:
     model = storage.load_checkpoint(args.checkpoint[0])
     require_same_sites(model, dataset.sites)
     split = config.get("split", "test")
-    offset = int(config.get("sequence", 0))
+    offset = _config_value(config, "sequence", int, 0)
     indices = dataset.split_indices(split)
     if offset < 0 or offset >= indices.size:
         raise ConfigError(f"sequence {offset} out of range for split {split!r}")

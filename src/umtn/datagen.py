@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,13 +98,6 @@ class ConvDiffConfig:
         """Observations kept per sequence (the trailing snapshot is dropped)."""
         return self.n_outputs
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConvDiffConfig":
-        return cls(**data)
-
 
 def grid_coordinates(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """1-D coordinate arrays of the periodic grid; 2*pi is identified with 0."""
@@ -169,11 +162,6 @@ def _mode_bases(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
         cached = (np.cos(angles), np.sin(angles))
         _BASIS_CACHE[grid_size] = cached
     return cached
-
-
-def sample_initial_condition(rng: np.random.Generator, grid_size: int = 50) -> np.ndarray:
-    """Draw Fourier coefficients and evaluate the field on the grid."""
-    return FourierInitialCondition.sample(rng).on_grid(grid_size)
 
 
 # Working-set budget of one generation chunk, in grid values.  A chunk's state
@@ -288,14 +276,6 @@ def _simulate_batch(config: ConvDiffConfig, initial: np.ndarray, n_outputs: int 
     return out
 
 
-def simulate_convdiff(config: ConvDiffConfig, initial: np.ndarray) -> np.ndarray:
-    """Integrate one initial field; returns (n_outputs + 1, g, g) snapshots."""
-    initial = np.asarray(initial, dtype=float)
-    if initial.ndim != 2:
-        raise ValueError(f"initial field must be 2-D, got shape {initial.shape}")
-    return _simulate_batch(config, initial[None])[0]
-
-
 class SequenceDataset:
     """Measurement sequences over a shared site set, with a fixed split.
 
@@ -318,7 +298,6 @@ class SequenceDataset:
         variance: float | None = None,
         normalized: bool = False,
         seed: int | None = None,
-        kernel=None,
     ):
         sequences = np.ascontiguousarray(np.asarray(sequences, dtype=float))
         if sequences.ndim != 3:
@@ -340,7 +319,6 @@ class SequenceDataset:
         self.tau = int(tau)
         self.normalized = bool(normalized)
         self.seed = seed
-        self.kernel = kernel  # optional tuned-kernel annotation
         if mean is None:
             train = self.split_values("train")
             mean = float(train.mean()) if train.size else 0.0
@@ -392,7 +370,6 @@ class SequenceDataset:
             variance=self.variance,
             normalized=True,
             seed=self.seed,
-            kernel=self.kernel,
         )
 
     def denormalize_values(self, values: np.ndarray) -> np.ndarray:

@@ -5,6 +5,8 @@ radii).  The classes below mark failures that callers are expected to branch
 on, and the CLI maps them to stable exit codes.
 """
 
+from contextlib import contextmanager
+
 
 class UmtnError(Exception):
     """Base class for package-specific failures."""
@@ -44,3 +46,17 @@ class DivergenceError(NumericalError):
     def __init__(self, message, at_time=None):
         super().__init__(message)
         self.at_time = at_time
+
+
+@contextmanager
+def invalid_field(field: str, error: type):
+    """Raise `error` naming `field` when turning its value into an object fails.
+
+    Inside the block, a missing key, a value of the wrong JSON type or value,
+    or an inconsistent config means the file that held the value is wrong:
+    a manifest is corrupt (DataError), a config file is bad (ConfigError).
+    """
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
+        raise error(f"{field} is invalid: {exc!r}") from exc

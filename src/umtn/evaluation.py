@@ -155,8 +155,6 @@ def persistence_baseline(dataset: SequenceDataset, split: str = "test") -> EvalR
     """Score the frozen-last-observation forecast hat-u_t = u_{tau-1}."""
     dataset = dataset.normalize()
     tau = dataset.tau
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
     values = dataset.split_values(split)
     if values.shape[0] == 0:
         raise ConfigError(f"{split} split is empty")

@@ -87,12 +87,9 @@ class InterpolationSystem:
     read from (w, Q).  Instances are immutable in practice.
     """
 
-    def __init__(self, kernel: RadialKernel, site_set: SiteSet, reg_lambda: float = 0.0):
-        if reg_lambda < 0:
-            raise ValueError("regularization parameter must be nonnegative")
+    def __init__(self, kernel: RadialKernel, site_set: SiteSet):
         self.kernel = kernel
         self.site_set = site_set
-        self.reg_lambda = float(reg_lambda)
         self.phi = kernel_eval(kernel, site_set.distance_matrix())
         self._eigenvalues, self._eigenvectors = np.linalg.eigh(self.phi)
         magnitudes = np.abs(self._eigenvalues)
@@ -122,48 +119,29 @@ class InterpolationSystem:
         q = self._eigenvectors
         return (q / self._eigenvalues) @ (q.T @ rhs)
 
-    def fit_matrix(self, lam: float | None = None) -> np.ndarray:
+    def fit_matrix(self, lam: float) -> np.ndarray:
         """The map u -> c minimizing ||Phi c - u||^2 + lam ||c||^2, as a dense matrix.
 
         Q diag(w / (w^2 + lam)) Q^T; at lam = 0 this is Phi^{-1}.
         """
-        lam = self.reg_lambda if lam is None else float(lam)
+        lam = float(lam)
         if lam < 0:
             raise ValueError("regularization parameter must be nonnegative")
         w, q = self._eigenvalues, self._eigenvectors
         return (q * (w / (w * w + lam))) @ q.T
 
 
-def build_phi(kernel: RadialKernel, sites: SiteSet | np.ndarray, reg_lambda: float = 0.0) -> InterpolationSystem:
+def build_phi(kernel: RadialKernel, sites: SiteSet | np.ndarray) -> InterpolationSystem:
     """Assemble and factorize the interpolation system for the given sites."""
     if not isinstance(sites, SiteSet):
         sites = SiteSet(sites)
-    return InterpolationSystem(kernel, sites, reg_lambda=reg_lambda)
-
-
-def evaluate_interpolant(
-    kernel: RadialKernel, sites: SiteSet, coeffs: np.ndarray, queries: np.ndarray
-) -> np.ndarray:
-    """Evaluate sum_j c_j phi(||q - x_j||) at each query point q."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (sites.n,):
-        raise ValueError(f"coefficients must have shape ({sites.n},), got {coeffs.shape}")
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    if queries.shape[1] != sites.dim:
-        raise ValueError(f"queries have dimension {queries.shape[1]}, sites have {sites.dim}")
-    basis = kernel_eval(kernel, pairwise_distances(queries, sites.sites))
-    return basis @ coeffs
+    return InterpolationSystem(kernel, sites)
 
 
 def scaled_inverse(system: InterpolationSystem) -> np.ndarray:
     """Phi^{-1} divided by its largest absolute entry, so max-abs is exactly 1."""
     inverse = system.fit_matrix(0.0)
     return inverse / np.max(np.abs(inverse))
-
-
-def inverse_scale_factor(system: InterpolationSystem) -> float:
-    """The max-abs entry of Phi^{-1} that `scaled_inverse` divides out."""
-    return float(np.max(np.abs(system.fit_matrix(0.0))))
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 from .errors import ConfigError, DataError
 from .interpolation import SiteSet, build_phi, scaled_inverse
-from .kernels import RadialKernel, kernel_eval
+from .kernels import RadialKernel
 
 
 @dataclass
@@ -80,20 +80,21 @@ class SiteGeometry:
     """Per-site-set constants every forward pass reuses.
 
     Holds Phi, its scaled inverse G (max-abs entry exactly 1), the ridge-fit
-    matrix mapping measurements to coefficients, and the stacked spatial-net
+    matrix mapping measurements to coefficients at the geometry's own
+    `reg_lambda` (the one place lambda is kept), and the stacked spatial-net
     inputs (x_i, x_j, phi(||x_i - x_j||)) for all ordered pairs, in row-major
     pair order.
     """
 
     def __init__(self, kernel: RadialKernel, site_set: SiteSet, reg_lambda: float = 1e-2):
-        system = build_phi(kernel, site_set, reg_lambda=reg_lambda)
+        system = build_phi(kernel, site_set)
         self.kernel = kernel
         self.site_set = site_set
         self.reg_lambda = float(reg_lambda)
         self.system = system
         self.phi = system.phi
         self.scaled_inv = scaled_inverse(system)
-        self.fit = system.fit_matrix(reg_lambda)
+        self.fit = system.fit_matrix(self.reg_lambda)
         pts = site_set.sites
         n = site_set.n
         phi_flat = self.phi.reshape(n * n, 1)
@@ -205,7 +206,7 @@ class RolloutResult:
 
     `all_values` covers every predicted step (hat-u_1 .. hat-u_{tau+T-1}), as
     (steps, n) for a single sequence or (B, steps, n) for a batch;
-    `predictions` is the forecast block (the last T steps); `warmup` the rest.
+    `predictions` is the forecast block (the last T steps).
     `tensors` carries the graph-linked per-step (n, B) predictions when
     recording was on.
     """
@@ -218,10 +219,6 @@ class RolloutResult:
     @property
     def predictions(self) -> np.ndarray:
         return self.all_values[..., self.tau - 1 :, :]
-
-    @property
-    def warmup(self) -> np.ndarray:
-        return self.all_values[..., : self.tau - 1, :]
 
 
 class _RolloutInputs:
@@ -331,13 +328,6 @@ class UmtnModel:
         store.register("rfn.bo", np.zeros(1))
         return store
 
-    def parameter_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for name, tensor in self.params.items():
-            group = name.split(".")[0]
-            counts[group] = counts.get(group, 0) + tensor.values.size
-        return counts
-
     def _rfn_weights(self) -> RfnWeights:
         p = self.params
         return RfnWeights.from_gates(
@@ -426,22 +416,6 @@ def require_same_sites(model: UmtnModel, sites: SiteSet) -> None:
         )
 
 
-def build_spatial_features(model: UmtnModel, sites: Optional[SiteSet] = None) -> np.ndarray:
-    """Evaluate the spatial matrices as a plain (F, n, n) array."""
-    if sites is not None:
-        require_same_sites(model, sites)
-    with ad.no_grad():
-        operator = model.spatial_feature_tensors().values
-    n = model.geometry.n
-    return operator.reshape(n, -1, n).transpose(1, 0, 2)
-
-
-def multilevel_features(model: UmtnModel, c0: np.ndarray) -> np.ndarray:
-    """Evaluate U = Phi [c0 | C_1 | ... | C_M] as a plain (n, F*M+1) array."""
-    with ad.no_grad():
-        return model.multilevel_feature_tensor(c0).values
-
-
 @dataclass
 class DrcConfig:
     """Sizing of the single-block baseline: one spatial transformation of the
@@ -468,12 +442,6 @@ class DrcConfig:
     def aggregator_input_width(self) -> int:
         return self.feature_width + self.past_frames
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DrcConfig":
-        return cls(**data)
 
 
 class DrcModel:
@@ -548,9 +516,3 @@ class DrcModel:
             # entries before index p - 1 are placeholders, not predictions
             return inputs.result(preds, record, loss_start=p - 1)
 
-
-def drc_forward(model: DrcModel, observed_frames) -> np.ndarray:
-    """Baseline next-step prediction as a plain n-vector."""
-    frames = np.asarray(observed_frames, dtype=float)
-    with ad.no_grad():
-        return model.forward(list(frames)).values[:, 0]

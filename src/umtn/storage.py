@@ -24,7 +24,7 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from .datagen import SequenceDataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, invalid_field
 from .interpolation import SiteSet
 from .kernels import RadialKernel
 from .model import ModelConfig, SiteGeometry, UmtnModel
@@ -123,18 +123,10 @@ def _write_payload(directory: Path, name: str, array: np.ndarray) -> dict:
     }
 
 
-@contextmanager
-def _manifest_field(field: str) -> Iterator[None]:
-    """Report a manifest value that does not make a valid object as DataError.
-
-    Inside the block, the errors of turning `field` into an object (a missing
-    key, a wrong type or value, an inconsistent config) mean the manifest is
-    corrupt, not that the caller erred.
-    """
-    try:
-        yield
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        raise DataError(f"manifest field {field!r} is invalid: {exc!r}") from exc
+def _manifest_field(field: str):
+    """Report a manifest value that does not make a valid object as DataError:
+    the manifest is corrupt, not the caller in error."""
+    return invalid_field(f"manifest field {field!r}", DataError)
 
 
 def _read_payload(directory: Path, name: str, meta: dict) -> np.ndarray:
@@ -199,7 +191,6 @@ def save_dataset(dataset: SequenceDataset, path: Union[str, Path]) -> None:
             "mean": dataset.mean,
             "variance": dataset.variance,
             "seed": dataset.seed,
-            "kernel": dataset.kernel.to_dict() if dataset.kernel is not None else None,
             "payloads": {},
         }
         manifest["payloads"]["sites.bin"] = _write_payload(
@@ -222,9 +213,6 @@ def load_dataset(path: Union[str, Path]) -> SequenceDataset:
     expected = [manifest["n_sequences"], manifest["sequence_length"], manifest["n_sites"]]
     if list(sequences.shape) != expected:
         raise DataError("sequences payload shape disagrees with the manifest")
-    kernel = manifest.get("kernel")
-    with _manifest_field("kernel"):
-        kernel = RadialKernel.from_dict(kernel) if kernel is not None else None
     with _manifest_field("split, tau, mean, variance, normalized or seed"):
         return SequenceDataset(
             SiteSet(sites),
@@ -235,15 +223,25 @@ def load_dataset(path: Union[str, Path]) -> SequenceDataset:
             variance=manifest["variance"],
             normalized=manifest["normalized"],
             seed=manifest["seed"],
-            kernel=kernel,
         )
 
 
 def save_checkpoint(
-    model: UmtnModel, path: Union[str, Path], extra: Optional[dict] = None
+    model: UmtnModel,
+    path: Union[str, Path],
+    extra: Optional[dict] = None,
+    history_csv: Optional[str] = None,
 ) -> None:
-    """Persist parameters plus everything needed to rebuild the model."""
+    """Persist parameters plus everything needed to rebuild the model.
+
+    `extra` is free-form metadata stored in the manifest.  `history_csv`, when
+    given, is written as ``history.csv`` inside the same atomic build, so the
+    checkpoint and its training history appear together or not at all; no
+    checksum covers it.
+    """
     with _atomic_directory(path) as directory:
+        if history_csv is not None:
+            (directory / "history.csv").write_bytes(history_csv.encode())
         names = model.params.names()
         blob = b"".join(
             np.ascontiguousarray(model.params[name].values, dtype="<f8").tobytes()
@@ -310,14 +308,6 @@ def load_checkpoint(path: Union[str, Path]) -> UmtnModel:
     if offset != len(blob):
         raise TruncatedPayloadError("payload params.bin: trailing bytes")
     return UmtnModel(config, geometry, params)
-
-
-def checkpoint_extra(path: Union[str, Path]) -> dict:
-    """The free-form metadata stored alongside a checkpoint."""
-    extra = _load_manifest(Path(path), "checkpoint").get("extra", {})
-    if not isinstance(extra, dict):
-        raise DataError(f"checkpoint manifest field 'extra' holds a JSON {type(extra).__name__}, expected an object")
-    return extra
 
 
 def _read_csv_rows(path: Union[str, Path], required: list[str]) -> list[dict]:

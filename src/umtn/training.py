@@ -54,10 +54,6 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        return cls(**data)
-
 
 def scheduled_sampling_prob(epoch: int, k: float = 50.0) -> float:
     """Inverse sigmoid teacher-forcing schedule k / (k + exp(epoch / k))."""

@@ -6,6 +6,7 @@ The full-scale depth study trains nine models for hours and therefore only
 runs when UMTN_FULL_SCALE=1 is set.
 """
 
+import dataclasses
 import math
 import os
 import time
@@ -17,9 +18,9 @@ from activations import relu, sigmoid, tanh
 from umtn import autodiff as ad
 from umtn.autodiff import ParameterStore, Tensor, gradient_check
 from umtn.collocation import CollocationStepper, operator_matrix, solve_ivp
-from umtn.datagen import ConvDiffConfig, FourierInitialCondition, SequenceDataset, generate_dataset, simulate_convdiff
+from umtn.datagen import ConvDiffConfig, FourierInitialCondition, _simulate_batch, generate_dataset
 from umtn.evaluation import evaluate_model, mae, persistence_baseline
-from umtn.interpolation import SiteSet, build_phi, inverse_scale_factor, scaled_inverse
+from umtn.interpolation import SiteSet, build_phi
 from umtn.kernels import KernelFamily, LinearOperatorSpec, RadialKernel
 from umtn.model import ModelConfig, UmtnModel, lstb_forward
 from umtn.training import TrainConfig, scheduled_sampling_prob, sequence_loss, train_loop
@@ -67,7 +68,7 @@ def test_spatial_block_reproduces_collocation_step():
 
     # single analytic feature dt*(L phi), unscaled inverse, exact (ridge-free) fit
     feature = dt * operator_matrix(MQ_HALF, sites, op)
-    unscaled_inv = scaled_inverse(system) * inverse_scale_factor(system)
+    unscaled_inv = system.fit_matrix(0.0)
     c0 = np.linalg.solve(system.phi, u0)
     with ad.no_grad():
         block = lstb_forward(Tensor(feature), Tensor(unscaled_inv), Tensor(c0))
@@ -176,16 +177,14 @@ def test_generator_shapes_and_dynamics():
     assert dataset.sequences.shape == (3, 5, 10)
     assert [dataset.split_indices(s).size for s in ("train", "val", "test")] == [1, 1, 1]
 
-    zeros = simulate_convdiff(reduced, np.zeros((16, 16)))
+    zeros = _simulate_batch(reduced, np.zeros((1, 16, 16)))[0]
     assert np.all(zeros == 0.0)
-    constant = simulate_convdiff(reduced, np.full((16, 16), 1.3))
+    constant = _simulate_batch(reduced, np.full((1, 16, 16), 1.3))[0]
     assert np.array_equal(constant, np.full_like(constant, 1.3))
 
-    initial = FourierInitialCondition.sample(np.random.default_rng(1)).on_grid(16)
-    coarse = simulate_convdiff(reduced, initial)
-    refined = simulate_convdiff(
-        ConvDiffConfig(**{**reduced.to_dict(), "substeps_per_output": 8}), initial
-    )
+    initial = FourierInitialCondition.sample(np.random.default_rng(1)).on_grid(16)[None]
+    coarse = _simulate_batch(reduced, initial)[0]
+    refined = _simulate_batch(dataclasses.replace(reduced, substeps_per_output=8), initial)[0]
     discrepancy = float(np.max(np.abs(coarse - refined)))
     elapsed = time.time() - start
     assert discrepancy < 1e-4

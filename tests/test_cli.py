@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import shutil
@@ -13,7 +14,7 @@ from umtn.cli import main
 from umtn.collocation import CollocationStepper, solve_ivp
 from umtn.interpolation import build_phi
 from umtn.kernels import KernelFamily, LinearOperatorSpec, RadialKernel
-from umtn.storage import checkpoint_extra, load_checkpoint, load_dataset, save_json
+from umtn.storage import load_checkpoint, load_dataset, save_json
 
 GEN_CONFIG = {
     "grid_size": 8,
@@ -83,6 +84,11 @@ def run(capsys, *argv):
 
 def stderr_json(err):
     return json.loads(err.strip().splitlines()[-1])
+
+
+def checkpoint_extra(directory):
+    """The free-form metadata `train` stores in the checkpoint manifest."""
+    return json.loads((directory / "manifest.json").read_text())["extra"]
 
 
 class TestGenData:
@@ -328,6 +334,32 @@ class TestTrain:
         assert stderr_json(err)["error"] == "DataError"
         assert calls == []
 
+    def test_failed_save_leaves_neither_checkpoint_nor_history(self, workspace, tmp_path, capsys, monkeypatch):
+        """history.csv is built with the checkpoint: when the final rename of
+        that build fails, neither the checkpoint nor its history exists."""
+        built = []
+
+        def failing_rename(source, target):
+            built.append(sorted(os.listdir(source)))
+            raise OSError(errno.EIO, "injected rename failure")
+
+        monkeypatch.setattr("umtn.storage.os.rename", failing_rename)
+        save_json(TRAIN_CONFIG, tmp_path / "train.json")
+        code, _, err = run(
+            capsys,
+            "train",
+            "--data",
+            str(workspace / "ds"),
+            "--config",
+            str(tmp_path / "train.json"),
+            "--out",
+            str(tmp_path / "ck"),
+        )
+        assert code == 3
+        assert stderr_json(err)["error"] == "DataError"
+        assert built == [["history.csv", "manifest.json", "params.bin", "sites.bin"]]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.json"]
+
     def test_history_parent_is_created(self, workspace, tmp_path, capsys):
         save_json(TRAIN_CONFIG, tmp_path / "train.json")
         history = tmp_path / "logs" / "run1" / "h.csv"
@@ -563,6 +595,33 @@ def test_out_that_is_a_directory_exits_3(workspace, tmp_path, capsys, argv):
     assert detail["error"] == "DataError"
     assert str(out) in detail["message"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "solve.json"]
+
+
+@pytest.mark.parametrize(
+    "command, field, config",
+    [
+        ("tune-kernel", "candidates", {"candidates": ["mq"]}),
+        ("train", "reg_lambda", {**TRAIN_CONFIG, "reg_lambda": [1]}),
+        ("train", "model", {**TRAIN_CONFIG, "model": [1]}),
+        ("solve", "dt", {**TestSolve().solve_config(), "dt": [0.1]}),
+        ("solve", "boundary", {**TestSolve().solve_config(), "boundary": [1]}),
+    ],
+    ids=lambda value: value if isinstance(value, str) else None,
+)
+def test_config_value_of_wrong_type_exits_2(workspace, tmp_path, capsys, command, field, config):
+    """A config value of the wrong JSON type is a ConfigError naming the field
+    (one JSON line, exit 2), not a traceback."""
+    save_json(config, tmp_path / "config.json")
+    data = [] if command == "solve" else ["--data", str(workspace / "ds")]
+    code, _, err = run(
+        capsys, command, *data, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")
+    )
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    detail = stderr_json(err)
+    assert detail["error"] == "ConfigError"
+    assert repr(field) in detail["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 class TestParser:

@@ -23,7 +23,6 @@ from umtn.storage import (
     TruncatedPayloadError,
     VersionError,
     check_save_target,
-    checkpoint_extra,
     ingest_csv,
     load_checkpoint,
     load_dataset,
@@ -39,11 +38,11 @@ MQ = RadialKernel(KernelFamily.MULTIQUADRIC, 0.7)
 TINY = ModelConfig(levels=1, feature_width=2, s_alpha_hidden=(6, 4), nab_hidden=3, rfn_hidden=6)
 
 
-def sample_dataset(seed=0, kernel=None):
+def sample_dataset(seed=0):
     rng = np.random.default_rng(seed)
     sites = SiteSet(rng.uniform(0.0, 2.0, (6, 2)))
     sequences = rng.normal(size=(4, 5, 6))
-    return SequenceDataset(sites, sequences, (2, 1, 1), tau=2, seed=seed, kernel=kernel)
+    return SequenceDataset(sites, sequences, (2, 1, 1), tau=2, seed=seed)
 
 
 def sample_model(seed=3):
@@ -64,6 +63,10 @@ def patch_manifest(directory, mutate):
     path.write_text(json.dumps(manifest))
 
 
+def read_manifest(directory):
+    return json.loads((directory / "manifest.json").read_text())
+
+
 def corrupt_byte(path, offset=0):
     data = bytearray(path.read_bytes())
     data[offset] ^= 0xFF
@@ -72,7 +75,7 @@ def corrupt_byte(path, offset=0):
 
 class TestDatasetRoundTrip:
     def test_bitwise_round_trip(self, tmp_path):
-        dataset = sample_dataset(seed=5, kernel=MQ)
+        dataset = sample_dataset(seed=5)
         save_dataset(dataset, tmp_path / "ds")
         loaded = load_dataset(tmp_path / "ds")
         assert np.array_equal(loaded.sites.sites, dataset.sites.sites)
@@ -84,12 +87,16 @@ class TestDatasetRoundTrip:
         assert loaded.mean == dataset.mean
         assert loaded.variance == dataset.variance
         assert loaded.seed == dataset.seed
-        assert loaded.kernel.family == KernelFamily.MULTIQUADRIC
-        assert loaded.kernel.epsilon == MQ.epsilon
 
     def test_round_trip_without_kernel(self, tmp_path):
-        save_dataset(sample_dataset(kernel=None), tmp_path / "ds")
-        assert load_dataset(tmp_path / "ds").kernel is None
+        """A dataset carries no kernel: the manifest has no "kernel" key, and
+        one left in an older manifest is ignored on load."""
+        save_dataset(sample_dataset(), tmp_path / "ds")
+        assert "kernel" not in read_manifest(tmp_path / "ds")
+        patch_manifest(tmp_path / "ds", lambda m: m.update(kernel=MQ.to_dict()))
+        loaded = load_dataset(tmp_path / "ds")
+        assert np.array_equal(loaded.sequences, sample_dataset().sequences)
+        assert not hasattr(loaded, "kernel")
 
     def test_normalized_flag_survives(self, tmp_path):
         dataset = sample_dataset(seed=1)
@@ -343,11 +350,17 @@ class TestCheckpoint:
     def test_extra_metadata(self, tmp_path):
         extra = {"epochs": 12, "val_mae": 0.25, "history": [1.0, 0.5]}
         save_checkpoint(sample_model(), tmp_path / "ck", extra=extra)
-        assert checkpoint_extra(tmp_path / "ck") == extra
+        assert read_manifest(tmp_path / "ck")["extra"] == extra
 
     def test_extra_defaults_empty(self, tmp_path):
         save_checkpoint(sample_model(), tmp_path / "ck")
-        assert checkpoint_extra(tmp_path / "ck") == {}
+        assert read_manifest(tmp_path / "ck")["extra"] == {}
+
+    def test_history_written_inside_the_build(self, tmp_path):
+        save_checkpoint(sample_model(), tmp_path / "ck", history_csv="epoch\r\n0\r\n")
+        assert (tmp_path / "ck" / "history.csv").read_bytes() == b"epoch\r\n0\r\n"
+        assert "history.csv" not in read_manifest(tmp_path / "ck")["payloads"]
+        assert load_checkpoint(tmp_path / "ck").params.names() == sample_model().params.names()
 
     def test_params_blob_checksum(self, tmp_path):
         save_checkpoint(sample_model(), tmp_path / "ck")
@@ -556,10 +569,9 @@ def datasets(draw):
     length = draw(st.integers(2, 5))
     values = st.floats(-1e6, 1e6, allow_nan=False, width=64)
     sequences = draw(hnp.arrays(np.float64, (sum(counts), length, sites.n), elements=values))
-    kernel = draw(st.none() | st.builds(RadialKernel, st.sampled_from(FAMILIES), st.floats(0.1, 10.0)))
     dataset = SequenceDataset(
         sites, sequences, tuple(counts), tau=draw(st.integers(1, length - 1)),
-        seed=draw(st.none() | st.integers(0, 2**31)), kernel=kernel,
+        seed=draw(st.none() | st.integers(0, 2**31)),
     )
     return dataset.normalize() if draw(st.booleans()) else dataset
 
@@ -624,20 +636,13 @@ class TestManifestByteFlips:
 
     def test_checkpoint_manifest(self, tmp_path):
         save_checkpoint(sample_model(), tmp_path / "ck", extra={"epochs": 3, "train_config": {"tau": 2}})
-        for load in (load_checkpoint, checkpoint_extra):
-            escaped = manifest_flip_escapes(tmp_path / "ck", load)
-            assert not escaped, f"{len(escaped)} flips escaped {load.__name__}, e.g. {escaped[:3]}"
-
-    def test_dataset_manifest(self, tmp_path):
-        save_dataset(sample_dataset(seed=5, kernel=MQ), tmp_path / "ds")
-        escaped = manifest_flip_escapes(tmp_path / "ds", load_dataset)
+        escaped = manifest_flip_escapes(tmp_path / "ck", load_checkpoint)
         assert not escaped, f"{len(escaped)} flips escaped, e.g. {escaped[:3]}"
 
-    def test_extra_must_be_an_object(self, tmp_path):
-        save_checkpoint(sample_model(), tmp_path / "ck")
-        patch_manifest(tmp_path / "ck", lambda m: m.update(extra=[1, 2]))
-        with pytest.raises(DataError, match="extra"):
-            checkpoint_extra(tmp_path / "ck")
+    def test_dataset_manifest(self, tmp_path):
+        save_dataset(sample_dataset(seed=5), tmp_path / "ds")
+        escaped = manifest_flip_escapes(tmp_path / "ds", load_dataset)
+        assert not escaped, f"{len(escaped)} flips escaped, e.g. {escaped[:3]}"
 
     def test_error_names_the_field(self, tmp_path):
         save_checkpoint(sample_model(), tmp_path / "ck")
@@ -646,6 +651,8 @@ class TestManifestByteFlips:
             load_checkpoint(tmp_path / "ck")
 
 
+# A drawn training split may be constant, a valid dataset that normalizes by 1.
+@pytest.mark.filterwarnings("ignore:training split has zero variance:RuntimeWarning")
 class TestStorageProperties:
     @PROPERTY
     @given(dataset=datasets())
@@ -655,7 +662,7 @@ class TestStorageProperties:
             loaded = load_dataset(Path(root) / "ds")
         assert np.array_equal(loaded.sites.sites, dataset.sites.sites)
         assert np.array_equal(loaded.sequences, dataset.sequences)
-        for attr in ("split", "tau", "normalized", "mean", "variance", "seed", "kernel"):
+        for attr in ("split", "tau", "normalized", "mean", "variance", "seed"):
             assert getattr(loaded, attr) == getattr(dataset, attr), attr
 
     @PROPERTY

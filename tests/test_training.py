@@ -38,7 +38,7 @@ def tiny_model(dataset, seed=0):
 class TestTrainConfig:
     def test_round_trip(self):
         config = TrainConfig(tau=3, horizon=5, lr=0.01, batch_size=4)
-        assert TrainConfig.from_dict(config.to_dict()) == config
+        assert TrainConfig(**config.to_dict()) == config
 
     def test_validation(self):
         with pytest.raises(ConfigError):
