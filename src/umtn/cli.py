@@ -168,7 +168,10 @@ def _cmd_train(args) -> int:
         raise ConfigError("train requires --data")
     dataset = storage.load_dataset(args.data)
     model_config = _config_value(
-        config, "model", lambda fields: ModelConfig(**{"levels": 1, "spatial_dim": dataset.sites.dim, **fields}), {}
+        config,
+        "model",
+        lambda fields: ModelConfig(**{"levels": 1, "spatial_dim": dataset.sites.dim, **fields}),
+        {},
     )
     kernel = _config_value(config, "kernel", _kernel_from, {"family": "multiquadric", "epsilon": 2.0})
     reg_lambda = _config_value(config, "reg_lambda", float, 1e-2)
