@@ -25,10 +25,10 @@ from . import storage
 from .collocation import CollocationStepper, solve_ivp
 from .datagen import ConvDiffConfig, generate_dataset
 from .errors import ConfigError, DataError, UmtnError, invalid_field
-from .evaluation import evaluate_model, persistence_baseline
+from .evaluation import evaluate_model, forecast, persistence_baseline
 from .interpolation import build_phi, loocv_select_kernel
 from .kernels import LinearOperatorSpec, RadialKernel
-from .model import ModelConfig, UmtnModel, require_same_sites
+from .model import DEFAULT_REG_LAMBDA, ModelConfig, UmtnModel, require_same_sites
 from .training import TrainConfig, train_loop
 
 DEFAULT_TUNE_CANDIDATES = [
@@ -40,13 +40,16 @@ DEFAULT_TUNE_CANDIDATES = [
 ]
 
 
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must hold a JSON object")
+    return value
+
+
 def _load_config(args) -> dict:
     if args.config is None:
         return {}
-    config = storage.load_json_config(args.config)
-    if not isinstance(config, dict):
-        raise ConfigError(f"{args.config} must hold a JSON object")
-    return config
+    return _json_object(storage.load_json_config(args.config), args.config)
 
 
 def _require_out(args) -> Path:
@@ -174,7 +177,7 @@ def _cmd_train(args) -> int:
         {},
     )
     kernel = _config_value(config, "kernel", _kernel_from, {"family": "multiquadric", "epsilon": 2.0})
-    reg_lambda = _config_value(config, "reg_lambda", float, 1e-2)
+    reg_lambda = _config_value(config, "reg_lambda", float, DEFAULT_REG_LAMBDA)
     seed = {} if args.seed is None else {"seed": args.seed}
     train_config = _config_value(
         config,
@@ -265,8 +268,7 @@ def _cmd_predict(args) -> int:
     if offset < 0 or offset >= indices.size:
         raise ConfigError(f"sequence {offset} out of range for split {split!r}")
     seq = dataset.sequences[indices[offset]]
-    result = model.rollout(seq[: dataset.tau], dataset.horizon)
-    predictions = result.predictions
+    predictions = forecast(model, seq[None, : dataset.tau], dataset.horizon)[0]
     payload = {
         "split": split,
         "sequence": offset,
@@ -287,8 +289,9 @@ def _cmd_export_report(args) -> int:
         raise ConfigError("export-report requires at least one --report")
     rows = []
     for path in args.report:
-        data = storage.load_json_config(path)
-        protocol = data.get("protocol", {})
+        data = _json_object(storage.load_json_config(path), path)
+        protocol = _json_object(data.get("protocol") or {}, f"field 'protocol' of {path}")
+        persistence = _json_object(data.get("persistence") or {}, f"field 'persistence' of {path}")
         rows.append(
             (
                 Path(path).stem,
@@ -297,7 +300,7 @@ def _cmd_export_report(args) -> int:
                 protocol.get("n_runs"),
                 protocol.get("tau"),
                 protocol.get("horizon"),
-                (data.get("persistence") or {}).get("mae_mean"),
+                persistence.get("mae_mean"),
             )
         )
     lines = [

@@ -11,7 +11,9 @@ RK4 step equals its degree-4 Taylor polynomial; `_simulate_batch` evaluates it
 in Horner form, four in-place stencil applications per substep over
 preallocated work arrays.  `generate_dataset` integrates sequences in chunks
 of about CHUNK_VALUES grid values, so the work arrays stay in cache, and stops
-at the last snapshot it keeps: the final one at t_end is never computed.
+at the last snapshot it keeps: the final one at t_end is never computed.  It
+builds the Fourier basis of the initial conditions once per call and keeps
+nothing once it returns.
 
 Boundary treatment: the initial condition is 2*pi-periodic by construction,
 so the grid is periodic (the 2*pi edge wraps to 0).  This choice affects the
@@ -93,75 +95,50 @@ class ConvDiffConfig:
         """Snapshots after t=0; the emitted series has n_outputs+1 entries."""
         return int(round(self.t_end / self.dt_out))
 
-    @property
-    def sequence_length(self) -> int:
-        """Observations kept per sequence (the trailing snapshot is dropped)."""
-        return self.n_outputs
 
-
-def grid_coordinates(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """1-D coordinate arrays of the periodic grid; 2*pi is identified with 0."""
-    x = np.arange(grid_size) * (2.0 * math.pi / grid_size)
-    return x, x.copy()
+def grid_coordinates(grid_size: int) -> np.ndarray:
+    """Node coordinates of the periodic grid along either axis; 2*pi is identified with 0."""
+    return np.arange(grid_size) * (2.0 * math.pi / grid_size)
 
 
 def _field_grids(grid_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The convection components a, b and diffusion c at every grid node."""
-    xs, ys = grid_coordinates(grid_size)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    x = grid_coordinates(grid_size)
+    X, Y = np.meshgrid(x, x, indexing="ij")
     a = 0.5 * (np.cos(Y) + X * (2.0 * np.pi - X) * np.sin(X)) + 0.6
     b = 2.0 * (np.cos(Y) + np.sin(X)) + 0.8
     c = 0.5 * (1.0 - np.sqrt((X - np.pi) ** 2 + (Y - np.pi) ** 2) / (np.sqrt(2.0) * np.pi))
     return a, b, c
 
 
-class FourierInitialCondition:
-    """A 2*pi-periodic field sum of cos/sin modes with |k|,|l| <= MAX_MODE.
-
-    Coefficient arrays are indexed [k + MAX_MODE, l + MAX_MODE].
-    """
-
-    def __init__(self, lambda_kl: np.ndarray, zeta_kl: np.ndarray):
-        size = 2 * MAX_MODE + 1
-        lambda_kl = np.asarray(lambda_kl, dtype=float)
-        zeta_kl = np.asarray(zeta_kl, dtype=float)
-        if lambda_kl.shape != (size, size) or zeta_kl.shape != (size, size):
-            raise ValueError(f"coefficient arrays must have shape ({size}, {size})")
-        if not (np.all(np.isfinite(lambda_kl)) and np.all(np.isfinite(zeta_kl))):
-            raise ValueError("coefficients must be finite")
-        self.lambda_kl = lambda_kl
-        self.zeta_kl = zeta_kl
-
-    @classmethod
-    def sample(cls, rng: np.random.Generator) -> "FourierInitialCondition":
-        size = 2 * MAX_MODE + 1
-        std = math.sqrt(COEFF_VARIANCE)
-        lam = rng.normal(0.0, std, size=(size, size))
-        zeta = rng.normal(0.0, std, size=(size, size))
-        return cls(lam, zeta)
-
-    def on_grid(self, grid_size: int) -> np.ndarray:
-        """Evaluate the double sum at every node of the periodic grid."""
-        cos_basis, sin_basis = _mode_bases(grid_size)
-        flat = self.lambda_kl.ravel() @ cos_basis + self.zeta_kl.ravel() @ sin_basis
-        return flat.reshape(grid_size, grid_size)
-
-
-_BASIS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
 def _mode_bases(grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin of k*x + l*y for all modes, flattened over the grid; cached."""
-    cached = _BASIS_CACHE.get(grid_size)
-    if cached is None:
-        xs, ys = grid_coordinates(grid_size)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        modes = np.arange(-MAX_MODE, MAX_MODE + 1)
-        K, L = np.meshgrid(modes, modes, indexing="ij")
-        angles = np.multiply.outer(K.ravel(), X.ravel()) + np.multiply.outer(L.ravel(), Y.ravel())
-        cached = (np.cos(angles), np.sin(angles))
-        _BASIS_CACHE[grid_size] = cached
-    return cached
+    """cos and sin of k*x + l*y for every mode |k|,|l| <= MAX_MODE.
+
+    Each is ((2 MAX_MODE + 1)^2, g^2): row (k + MAX_MODE)(2 MAX_MODE + 1) +
+    l + MAX_MODE holds the mode (k, l), column i g + j the node (x_i, y_j).
+    """
+    x = grid_coordinates(grid_size)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    modes = np.arange(-MAX_MODE, MAX_MODE + 1)
+    K, L = np.meshgrid(modes, modes, indexing="ij")
+    angles = np.multiply.outer(K.ravel(), X.ravel()) + np.multiply.outer(L.ravel(), Y.ravel())
+    return np.cos(angles), np.sin(angles)
+
+
+def _initial_field(rng: np.random.Generator, bases: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """A random 2*pi-periodic initial condition, flattened over the grid.
+
+    Draws the cosine coefficients lambda_kl, then the sine coefficients
+    zeta_kl, each (2 MAX_MODE + 1)^2 normal values of variance COEFF_VARIANCE
+    indexed [k + MAX_MODE, l + MAX_MODE], and sums
+    lambda_kl cos(k x + l y) + zeta_kl sin(k x + l y) over `bases` (see `_mode_bases`).
+    """
+    size = 2 * MAX_MODE + 1
+    std = math.sqrt(COEFF_VARIANCE)
+    lam = rng.normal(0.0, std, size=(size, size))
+    zeta = rng.normal(0.0, std, size=(size, size))
+    cos_basis, sin_basis = bases
+    return lam.ravel() @ cos_basis + zeta.ravel() @ sin_basis
 
 
 # Working-set budget of one generation chunk, in grid values.  A chunk's state
@@ -396,20 +373,16 @@ def generate_dataset(config: ConvDiffConfig, tau: int = 5, chunk_size: int | Non
     sites = SiteSet(coords)
 
     ic_seeds = ic_root.spawn(config.n_sequences)
-    length = config.sequence_length
+    length = config.n_outputs  # the trailing snapshot at t_end is dropped
     flat_idx = np.asarray(site_idx)
+    bases = _mode_bases(g)
     if chunk_size is None:
         chunk_size = max(1, CHUNK_VALUES // (g * g))
     sequences = np.empty((config.n_sequences, length, config.n_sites))
     for start in range(0, config.n_sequences, chunk_size):
         stop = min(start + chunk_size, config.n_sequences)
-        fields = np.stack(
-            [
-                FourierInitialCondition.sample(np.random.default_rng(s)).on_grid(g)
-                for s in ic_seeds[start:stop]
-            ]
-        )
+        fields = np.stack([_initial_field(np.random.default_rng(s), bases) for s in ic_seeds[start:stop]])
         # The first `length` snapshots: t=0 .. t_end - dt_out.
-        snaps = _simulate_batch(config, fields, n_outputs=length - 1)
+        snaps = _simulate_batch(config, fields.reshape(-1, g, g), n_outputs=length - 1)
         sequences[start:stop] = snaps.reshape(stop - start, length, g * g)[:, :, flat_idx]
     return SequenceDataset(sites, sequences, config.split, tau=tau, seed=config.seed)

@@ -125,8 +125,8 @@ class InterpolationSystem:
         Q diag(w / (w^2 + lam)) Q^T; at lam = 0 this is Phi^{-1}.
         """
         lam = float(lam)
-        if lam < 0:
-            raise ValueError("regularization parameter must be nonnegative")
+        if not 0.0 <= lam < np.inf:  # NaN fails the comparison too
+            raise ValueError(f"regularization parameter must be finite and nonnegative, got {lam}")
         w, q = self._eigenvalues, self._eigenvectors
         return (q * (w / (w * w + lam))) @ q.T
 

@@ -34,10 +34,14 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from . import interpolation
 from .autodiff import ParameterStore, Tensor
 from .errors import ConfigError, DataError
-from .interpolation import SiteSet, build_phi, scaled_inverse
+from .interpolation import SiteSet, scaled_inverse
 from .kernels import RadialKernel
+
+# Ridge parameter of the measurement-to-coefficient fit when none is given.
+DEFAULT_REG_LAMBDA = 1e-2
 
 
 @dataclass
@@ -86,8 +90,8 @@ class SiteGeometry:
     pair order.
     """
 
-    def __init__(self, kernel: RadialKernel, site_set: SiteSet, reg_lambda: float = 1e-2):
-        system = build_phi(kernel, site_set)
+    def __init__(self, kernel: RadialKernel, site_set: SiteSet, reg_lambda: float):
+        system = interpolation.build_phi(kernel, site_set)
         self.kernel = kernel
         self.site_set = site_set
         self.reg_lambda = float(reg_lambda)
@@ -149,28 +153,20 @@ class RfnWeights(NamedTuple):
         return cls(ad.concat([wz, wr, wh]), ad.concat([uz, ur]), uh, ad.concat([bz, br, bh]), wo, bo)
 
 
-def _as_column(x) -> Tensor:
-    t = x if isinstance(x, Tensor) else Tensor(x)
-    if t.values.ndim == 1:
-        t = ad.reshape(t, (t.shape[0], 1))
-    return t
-
-
 def lstb_forward(operator, g_matrix, coeffs) -> Tensor:
     """Transformed coefficients: column f is c + G S_f c (residual per feature).
 
     `operator` is the stacked (n F) x n spatial operator (row i F + f is row i
-    of S_f) and `coeffs` one coefficient column per sequence, (n,) or (n, B).
-    Accepts tensors or plain arrays; returns the (n B) x F block whose row
-    i B + b holds site i of sequence b.
+    of S_f) and `coeffs` the n x B block of one coefficient column per
+    sequence.  Accepts tensors or plain arrays; returns the (n B) x F block
+    whose row i B + b holds site i of sequence b.
     """
-    c = _as_column(coeffs)
-    n, batch = c.shape
-    transformed = ad.matmul(operator, c)  # row i F + f
+    n, batch = coeffs.shape
+    transformed = ad.matmul(operator, coeffs)  # row i F + f
     width = transformed.shape[0] // n
     transformed = ad.reshape(transformed, (n, width * batch))  # column f B + b
     residual = ad.add(
-        ad.reshape(ad.matmul(g_matrix, transformed), (n, width, batch)), ad.reshape(c, (n, 1, batch))
+        ad.reshape(ad.matmul(g_matrix, transformed), (n, width, batch)), ad.reshape(coeffs, (n, 1, batch))
     )
     return ad.reshape(ad.permute(residual, (0, 2, 1)), (n * batch, width))
 
@@ -202,11 +198,10 @@ def _interpolate_rows(phi: Tensor, rows: Tensor, n: int) -> Tensor:
 
 @dataclass
 class RolloutResult:
-    """Predictions from one rollout of one sequence or of a batch.
+    """Predictions from one rollout of a batch of B sequences.
 
     `all_values` covers every predicted step (hat-u_1 .. hat-u_{tau+T-1}), as
-    (steps, n) for a single sequence or (B, steps, n) for a batch;
-    `predictions` is the forecast block (the last T steps).
+    (B, steps, n); `predictions` is the forecast block (the last T steps).
     `tensors` carries the graph-linked per-step (n, B) predictions when
     recording was on.
     """
@@ -218,7 +213,7 @@ class RolloutResult:
 
     @property
     def predictions(self) -> np.ndarray:
-        return self.all_values[..., self.tau - 1 :, :]
+        return self.all_values[:, self.tau - 1 :]
 
 
 class _RolloutInputs:
@@ -233,13 +228,11 @@ class _RolloutInputs:
 
     def __init__(self, n, observed, horizon, teacher_values, teacher_prob, rng):
         observed = np.asarray(observed, dtype=float)
-        if observed.ndim not in (2, 3) or observed.shape[-1] != n or observed.shape[-2] < 1:
-            raise ValueError(f"observed must be (tau, {n}) or (B, tau, {n}), got {observed.shape}")
-        self.batched = observed.ndim == 3
-        observed = observed if self.batched else observed[None]
+        if observed.ndim != 3 or observed.shape[2] != n or 0 in observed.shape[:2]:
+            raise ValueError(f"observed must be (B, tau, {n}) with B, tau >= 1, got {observed.shape}")
         self.batch, self.tau = observed.shape[:2]
-        if self.batch < 1 or horizon < 0:
-            raise ValueError("need at least one sequence and horizon >= 0")
+        if horizon < 0:
+            raise ValueError("horizon must be >= 0")
         if not 0.0 <= teacher_prob <= 1.0:
             raise ValueError("teacher_prob must lie in [0, 1]")
         if teacher_prob > 0.0 and teacher_values is None:
@@ -250,11 +243,10 @@ class _RolloutInputs:
         self.teacher = self.use_teacher = None
         if teacher_values is not None:
             teacher_values = np.asarray(teacher_values, dtype=float)
-            expected = (self.batch, self.steps, n) if self.batched else (self.steps, n)
+            expected = (self.batch, self.steps, n)
             if teacher_values.shape != expected:
                 raise ValueError(f"teacher_values must be {expected}, got {teacher_values.shape}")
-            teacher = teacher_values if self.batched else teacher_values[None]
-            self.teacher = np.ascontiguousarray(teacher.transpose(1, 2, 0))
+            self.teacher = np.ascontiguousarray(teacher_values.transpose(1, 2, 0))
             rng = rng if rng is not None else np.random.default_rng(0)
             self.use_teacher = rng.random((self.batch, max(horizon - 1, 0))) < teacher_prob
 
@@ -271,9 +263,8 @@ class _RolloutInputs:
 
     def result(self, preds: list[Tensor], record: bool, loss_start: int = 0) -> RolloutResult:
         stacked = np.stack([p.values for p in preds]) if preds else np.empty((0, self.n, self.batch))
-        all_values = np.ascontiguousarray(stacked.transpose(2, 0, 1))
         return RolloutResult(
-            all_values if self.batched else all_values[0],
+            np.ascontiguousarray(stacked.transpose(2, 0, 1)),
             self.tau,
             tensors=preds if record else None,
             loss_start=loss_start,
@@ -302,7 +293,7 @@ class UmtnModel:
         config: ModelConfig,
         kernel: RadialKernel,
         sites: SiteSet,
-        reg_lambda: float = 1e-2,
+        reg_lambda: float = DEFAULT_REG_LAMBDA,
         seed: int = 0,
     ) -> "UmtnModel":
         geometry = SiteGeometry(kernel, sites, reg_lambda=reg_lambda)
@@ -345,21 +336,21 @@ class UmtnModel:
         """The stacked (n F) x n spatial operator, graph-linked to the shared net."""
         return _stacked_operator(self.params, "alpha", self.geometry, self.config.feature_width)
 
-    def multilevel_feature_tensor(self, c0, operator=None) -> Tensor:
+    def multilevel_feature_tensor(self, c0, operator: Tensor) -> Tensor:
         """Concatenated multilevel features U = Phi [c0 | C_1 | ... | C_M].
 
-        `c0` holds one coefficient column per sequence, (n,) or (n, B); the
-        result is (n B) x (F M + 1), row i B + b for site i of sequence b.  The
-        last level's aggregator output would feed no further level, so it is
-        not computed.
+        `c0` is the n x B block of one coefficient column per sequence and
+        `operator` the stacked spatial operator (`spatial_feature_tensors()`);
+        the result is (n B) x (F M + 1), row i B + b for site i of sequence b.
+        The last level's aggregator output would feed no further level, so it
+        is not computed.
         """
-        op = operator if operator is not None else self.spatial_feature_tensors()
-        c = _as_column(c0)
+        c = c0
         n, batch = c.shape
         g = Tensor(self.geometry.scaled_inv)
         cols = [ad.reshape(c, (n * batch, 1))]
         for level in range(1, self.config.levels + 1):
-            block = lstb_forward(op, g, c)
+            block = lstb_forward(operator, g, c)
             cols.append(block)
             if level < self.config.levels:
                 c = ad.reshape(nab_forward(self.nab_weights(level), block), (n, batch))
@@ -378,12 +369,12 @@ class UmtnModel:
     ) -> RolloutResult:
         """Predict hat-u_1 .. hat-u_{tau + horizon - 1} from tau observed frames.
 
-        `observed` is (tau, n) for one sequence or (B, tau, n) for a batch,
-        which is rolled out as one n x B block; `teacher_values`, when given,
-        holds the ground-truth input frames u_0 .. u_{tau+horizon-2} in the same
-        layout.  Each input frame is ridge-fitted to coefficients, expanded
-        through the level cascade, and fed to the per-site GRU, whose hidden
-        state persists across the whole sequence.  Beyond tau, a sequence's
+        `observed` is a (B, tau, n) batch, rolled out as one n x B block;
+        `teacher_values`, when given, holds the ground-truth input frames
+        u_0 .. u_{tau+horizon-2} as (B, tau + horizon - 1, n).  Each input
+        frame is ridge-fitted to coefficients, expanded through the level
+        cascade, and fed to the per-site GRU, whose hidden state persists
+        across the whole sequence.  Beyond tau, a sequence's
         input is its teacher frame with probability `teacher_prob` per step
         (seeded draw), otherwise the model's previous prediction.  With
         `record`, the returned result carries the prediction tensors for loss
@@ -443,7 +434,6 @@ class DrcConfig:
         return self.feature_width + self.past_frames
 
 
-
 class DrcModel:
     """Single spatial block + feed-forward aggregator baseline."""
 
@@ -453,7 +443,7 @@ class DrcModel:
         self.params = params
 
     @classmethod
-    def build(cls, config: DrcConfig, kernel, sites, reg_lambda: float = 1e-2, seed: int = 0):
+    def build(cls, config: DrcConfig, kernel, sites, reg_lambda: float = DEFAULT_REG_LAMBDA, seed: int = 0):
         geometry = SiteGeometry(kernel, sites, reg_lambda=reg_lambda)
         rng = np.random.default_rng(seed)
         store = ParameterStore()
@@ -465,19 +455,17 @@ class DrcModel:
         """The stacked (n F) x n spatial operator, graph-linked to the spatial net."""
         return _stacked_operator(self.params, "spatial", self.geometry, self.config.feature_width)
 
-    def forward(self, frames: Sequence, operator=None) -> Tensor:
+    def forward(self, frames: Sequence, operator: Tensor) -> Tensor:
         """Next-step prediction from the most recent frames (current one last).
 
-        Each frame is an n-vector or an (n, B) block of B sequences; the result
-        is (n, B).  The aggregator sees the spatially transformed current frame
-        followed by the `past_frames` most recent raw measurements, newest
-        first.
+        Each frame is an (n, B) block of B sequences, `operator` the stacked
+        spatial operator (`spatial_feature_tensors()`); the result is (n, B).
+        The aggregator sees the spatially transformed current frame followed
+        by the `past_frames` most recent raw measurements, newest first.
         """
         p = self.config.past_frames
-        frames = [_as_column(f) for f in frames]
         if len(frames) < p:
             raise ValueError(f"need at least {p} frames, got {len(frames)}")
-        operator = operator if operator is not None else self.spatial_feature_tensors()
         geom = self.geometry
         n, batch = frames[-1].shape
         c = ad.matmul(Tensor(geom.fit), frames[-1])
@@ -511,7 +499,7 @@ class DrcModel:
             for t in range(inputs.steps):
                 history.append(inputs.frame(t, preds))
                 preds.append(
-                    self.forward(history[-p:], operator=operator) if len(history) >= p else placeholder
+                    self.forward(history[-p:], operator) if len(history) >= p else placeholder
                 )
             # entries before index p - 1 are placeholders, not predictions
             return inputs.result(preds, record, loss_start=p - 1)

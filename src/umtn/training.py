@@ -40,14 +40,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        # Written so that NaN fails the comparison too.
+        if not 0 < self.lr < math.inf:
+            raise ConfigError("lr must be finite and positive")
         if self.max_epochs < 1 or self.early_stop_patience < 1:
             raise ConfigError("max_epochs and early_stop_patience must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1 when given")
-        if self.scheduled_sampling_k <= 0:
-            raise ConfigError("scheduled_sampling_k must be positive")
+        if not 0 < self.scheduled_sampling_k < math.inf:
+            raise ConfigError("scheduled_sampling_k must be finite and positive")
         if self.tau < 1 or self.horizon < 1:
             raise ConfigError("tau and horizon must be >= 1")
 
@@ -85,14 +86,12 @@ def sequence_loss(result, targets: np.ndarray) -> Tensor:
     """Graph-linked squared error against `targets`, summed over steps, sites
     and sequences.
 
-    `targets` holds u_1 .. u_{tau+T-1} in the layout of result.all_values:
-    (steps, n) for one sequence or (B, steps, n) for a batch.  Steps before
-    result.loss_start are skipped (only relevant for models that need a frame
-    window).
+    `targets` holds u_1 .. u_{tau+T-1} as (B, steps, n), the layout of
+    result.all_values.  Steps before result.loss_start are skipped (only
+    relevant for models that need a frame window).
     """
     start = result.loss_start
     targets = np.asarray(targets, dtype=float)
-    targets = targets if targets.ndim == 3 else targets[None]
     preds = ad.concat(result.tensors[start:])  # (n, steps * B), column s B + b
     expected = targets[:, start:].transpose(2, 1, 0).reshape(preds.shape)
     diff = ad.subtract(preds, Tensor(expected))

@@ -18,7 +18,7 @@ from activations import relu, sigmoid, tanh
 from umtn import autodiff as ad
 from umtn.autodiff import ParameterStore, Tensor, gradient_check
 from umtn.collocation import CollocationStepper, operator_matrix, solve_ivp
-from umtn.datagen import ConvDiffConfig, FourierInitialCondition, _simulate_batch, generate_dataset
+from umtn.datagen import ConvDiffConfig, _initial_field, _mode_bases, _simulate_batch, generate_dataset
 from umtn.evaluation import evaluate_model, mae, persistence_baseline
 from umtn.interpolation import SiteSet, build_phi
 from umtn.kernels import KernelFamily, LinearOperatorSpec, RadialKernel
@@ -71,7 +71,7 @@ def test_spatial_block_reproduces_collocation_step():
     unscaled_inv = system.fit_matrix(0.0)
     c0 = np.linalg.solve(system.phi, u0)
     with ad.no_grad():
-        block = lstb_forward(Tensor(feature), Tensor(unscaled_inv), Tensor(c0))
+        block = lstb_forward(Tensor(feature), Tensor(unscaled_inv), Tensor(c0[:, None]))
         values = system.phi @ block.values[:, 0]
     gap = float(np.max(np.abs(values - expected)))
     elapsed = time.time() - start
@@ -123,8 +123,8 @@ def test_gradient_suite():
     def rollout_store_check(config, sample, seed):
         sites = SiteSet(np.random.default_rng(21).uniform(0.0, 2.0, (5, 2)))
         model = UmtnModel.build(config, RadialKernel(KernelFamily.MULTIQUADRIC, 0.8), sites, seed=9, reg_lambda=1e-6)
-        sequence = np.random.default_rng(22).normal(size=(6, 5))
-        observed, teacher, targets = sequence[:3], sequence[:5], sequence[1:6]
+        sequence = np.random.default_rng(22).normal(size=(1, 6, 5))
+        observed, teacher, targets = sequence[:, :3], sequence[:, :5], sequence[:, 1:6]
 
         def loss_fn(store):
             result = model.rollout(
@@ -159,7 +159,7 @@ def test_generator_shapes_and_dynamics():
     start = time.time()
     default = ConvDiffConfig()
     assert default.n_sequences == 1000
-    assert default.sequence_length == 20
+    assert default.n_outputs == 20
     assert default.n_sites == 250
     assert default.split == (700, 150, 150)
 
@@ -182,7 +182,7 @@ def test_generator_shapes_and_dynamics():
     constant = _simulate_batch(reduced, np.full((1, 16, 16), 1.3))[0]
     assert np.array_equal(constant, np.full_like(constant, 1.3))
 
-    initial = FourierInitialCondition.sample(np.random.default_rng(1)).on_grid(16)[None]
+    initial = _initial_field(np.random.default_rng(1), _mode_bases(16)).reshape(1, 16, 16)
     coarse = _simulate_batch(reduced, initial)[0]
     refined = _simulate_batch(dataclasses.replace(reduced, substeps_per_output=8), initial)[0]
     discrepancy = float(np.max(np.abs(coarse - refined)))

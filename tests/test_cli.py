@@ -507,6 +507,10 @@ class TestPredict:
         normalized = np.array(payload["predictions_normalized"])
         dataset = load_dataset(workspace / "ds").normalize()
         assert predictions == pytest.approx(dataset.denormalize_values(normalized))
+        # the forecast of the first test sequence, rolled out as a batch of one
+        seq = dataset.split_values("test")[:1]
+        model = load_checkpoint(workspace / "ck")
+        assert np.array_equal(normalized, model.rollout(seq[:, :2], 3).predictions[0])
 
     def test_sequence_out_of_range(self, workspace, tmp_path, capsys):
         save_json({"sequence": 99}, tmp_path / "p.json")
@@ -572,6 +576,23 @@ class TestExportReport:
         assert code == 2
         assert "--report" in stderr_json(err)["message"]
 
+    @pytest.mark.parametrize(
+        "content",
+        [[1, 2], {"protocol": [1]}, {"mae_mean": 0.5, "persistence": "x"}],
+        ids=["report", "protocol", "persistence"],
+    )
+    def test_non_object_exits_2_naming_the_file(self, tmp_path, capsys, content):
+        (tmp_path / "r.json").write_text(json.dumps(content))
+        code, _, err = run(
+            capsys, "export-report", "--report", str(tmp_path / "r.json"), "--out", str(tmp_path / "s.md")
+        )
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        detail = stderr_json(err)
+        assert detail["error"] == "ConfigError"
+        assert str(tmp_path / "r.json") in detail["message"]
+        assert not (tmp_path / "s.md").exists()
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -621,6 +642,41 @@ def test_config_value_of_wrong_type_exits_2(workspace, tmp_path, capsys, command
     detail = stderr_json(err)
     assert detail["error"] == "ConfigError"
     assert repr(field) in detail["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("reg_lambda", "NaN"),
+        ("reg_lambda", "Infinity"),
+        ("lr", "NaN"),
+        ("lr", "Infinity"),
+        ("scheduled_sampling_k", "NaN"),
+    ],
+)
+def test_non_finite_train_config_exits_2_before_training(workspace, tmp_path, capsys, monkeypatch, field, value):
+    """NaN and Infinity, which JSON config files may hold, are rejected with
+    the config: before the first epoch, with no checkpoint written."""
+    train = dict(TRAIN_CONFIG["train"])
+    config = {**TRAIN_CONFIG, "train": train}
+    (config if field == "reg_lambda" else train)[field] = float(value)
+    error, message = (
+        ("ValueError", "finite and nonnegative") if field == "reg_lambda" else ("ConfigError", f"{field} must be finite")
+    )
+    calls = []
+    monkeypatch.setattr("umtn.cli.train_loop", lambda *args: calls.append(args))
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code, _, err = run(
+        capsys, "train", "--data", str(workspace / "ds"), "--config", str(tmp_path / "config.json"),
+        "--out", str(tmp_path / "ck"),
+    )
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    detail = stderr_json(err)
+    assert detail["error"] == error
+    assert message in detail["message"]
+    assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 

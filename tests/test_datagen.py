@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from umtn.datagen import (
     COEFF_VARIANCE,
     MAX_MODE,
     ConvDiffConfig,
-    FourierInitialCondition,
     SequenceDataset,
     _field_grids,
+    _initial_field,
+    _mode_bases,
     _simulate_batch,
     _stencil_weights,
     _Workspace,
@@ -34,8 +36,27 @@ def coefficient_fields(point) -> tuple[float, float, float]:
 
 
 def sample_initial_condition(rng, grid_size):
-    """A random Fourier initial condition evaluated on the grid."""
-    return FourierInitialCondition.sample(rng).on_grid(grid_size)
+    """A random Fourier initial condition evaluated on the (g, g) grid."""
+    return _initial_field(rng, _mode_bases(grid_size)).reshape(grid_size, grid_size)
+
+
+class DrawRecorder:
+    """Stands in for the rng of `_initial_field`.
+
+    `normal` hands out the `scripted` arrays in turn, or, once they run out,
+    draws from a generator seeded with `seed` with the arguments it was given;
+    `draws` records every array handed out.
+    """
+
+    def __init__(self, seed=0, scripted=()):
+        self.rng = np.random.default_rng(seed)
+        self.scripted = list(scripted)
+        self.draws = []
+
+    def normal(self, loc, scale, size):
+        out = self.scripted.pop(0) if self.scripted else self.rng.normal(loc, scale, size)
+        self.draws.append(out)
+        return out
 
 
 def simulate_convdiff(config, initial):
@@ -43,8 +64,11 @@ def simulate_convdiff(config, initial):
     return _simulate_batch(config, np.asarray(initial, dtype=float)[None])[0]
 
 
-def evaluate_pointwise(ic, x, y):
-    """The initial condition's double sum at broadcastable coordinate arrays, mode by mode."""
+def evaluate_pointwise(lambda_kl, zeta_kl, x, y):
+    """The Fourier double sum at broadcastable coordinate arrays, mode by mode.
+
+    Coefficient arrays are indexed [k + MAX_MODE, l + MAX_MODE].
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     modes = np.arange(-MAX_MODE, MAX_MODE + 1)
@@ -52,7 +76,7 @@ def evaluate_pointwise(ic, x, y):
     for ki, k in enumerate(modes):
         for li, l in enumerate(modes):
             angle = k * x + l * y
-            out += ic.lambda_kl[ki, li] * np.cos(angle) + ic.zeta_kl[ki, li] * np.sin(angle)
+            out += lambda_kl[ki, li] * np.cos(angle) + zeta_kl[ki, li] * np.sin(angle)
     return out
 
 
@@ -128,57 +152,62 @@ class TestCoefficientFields:
 
     def test_grid_version_matches_pointwise(self):
         a, b, c = _field_grids(8)
-        xs, ys = grid_coordinates(8)
+        x = grid_coordinates(8)
         for i in (0, 3, 7):
             for j in (0, 4, 6):
-                pa, pb, pc = coefficient_fields((xs[i], ys[j]))
+                pa, pb, pc = coefficient_fields((x[i], x[j]))
                 assert_allclose([a[i, j], b[i, j], c[i, j]], [pa, pb, pc], atol=1e-14)
 
 
 class TestFourierInitialCondition:
     def test_zero_coefficients_give_zero_field(self):
-        ic = FourierInitialCondition(np.zeros((SIZE, SIZE)), np.zeros((SIZE, SIZE)))
-        assert np.all(ic.on_grid(12) == 0.0)
-        assert evaluate_pointwise(ic, np.array([1.0]), np.array([2.0]))[0] == 0.0
+        zeros = np.zeros((SIZE, SIZE))
+        assert np.all(_initial_field(DrawRecorder(scripted=[zeros, zeros]), _mode_bases(12)) == 0.0)
+        assert evaluate_pointwise(zeros, zeros, np.array([1.0]), np.array([2.0]))[0] == 0.0
 
     def test_constant_mode(self):
         lam = np.zeros((SIZE, SIZE))
         lam[MAX_MODE, MAX_MODE] = 2.5  # k = l = 0
-        ic = FourierInitialCondition(lam, np.zeros((SIZE, SIZE)))
-        assert_allclose(ic.on_grid(8), np.full((8, 8), 2.5))
+        field = _initial_field(DrawRecorder(scripted=[lam, np.zeros((SIZE, SIZE))]), _mode_bases(8))
+        assert_allclose(field, np.full(64, 2.5))
 
     def test_value_at_origin_is_cosine_coefficient_sum(self):
-        rng = np.random.default_rng(5)
-        ic = FourierInitialCondition.sample(rng)
-        value = ic.on_grid(6)[0, 0]
-        assert value == pytest.approx(ic.lambda_kl.sum(), rel=1e-12)
+        """The cosine coefficients are drawn first, the sine ones second."""
+        rng = DrawRecorder(seed=5)
+        value = _initial_field(rng, _mode_bases(6))[0]
+        assert len(rng.draws) == 2
+        assert value == pytest.approx(rng.draws[0].sum(), rel=1e-12)
+        assert value == _initial_field(np.random.default_rng(5), _mode_bases(6))[0]
 
     def test_periodic_in_both_axes(self):
-        ic = FourierInitialCondition.sample(np.random.default_rng(6))
+        rng = DrawRecorder(seed=6)
+        _initial_field(rng, _mode_bases(4))
+        lam, zeta = rng.draws
         x = np.linspace(0, 2 * np.pi, 7)
         y = np.linspace(0, 2 * np.pi, 7)
-        base = evaluate_pointwise(ic, x, y)
-        assert_allclose(evaluate_pointwise(ic, x + 2 * np.pi, y), base, atol=1e-9)
-        assert_allclose(evaluate_pointwise(ic, x, y - 2 * np.pi), base, atol=1e-9)
+        base = evaluate_pointwise(lam, zeta, x, y)
+        assert_allclose(evaluate_pointwise(lam, zeta, x + 2 * np.pi, y), base, atol=1e-9)
+        assert_allclose(evaluate_pointwise(lam, zeta, x, y - 2 * np.pi), base, atol=1e-9)
 
     def test_on_grid_matches_evaluate(self):
-        ic = FourierInitialCondition.sample(np.random.default_rng(7))
-        xs, ys = grid_coordinates(9)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        assert_allclose(ic.on_grid(9), evaluate_pointwise(ic, X, Y), atol=1e-10)
-
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(ValueError):
-            FourierInitialCondition(np.zeros((3, 3)), np.zeros((3, 3)))
+        """Entry i g + j of the flat field is the node (x_i, y_j)."""
+        rng = DrawRecorder(seed=7)
+        field = _initial_field(rng, _mode_bases(9))
+        x = grid_coordinates(9)
+        X, Y = np.meshgrid(x, x, indexing="ij")
+        assert_allclose(field.reshape(9, 9), evaluate_pointwise(*rng.draws, X, Y), atol=1e-10)
 
     def test_sample_spread_reads_variance_not_std(self):
-        draws = FourierInitialCondition.sample(np.random.default_rng(8))
-        pooled = np.concatenate([draws.lambda_kl.ravel(), draws.zeta_kl.ravel()])
+        rng = DrawRecorder(seed=8)
+        _initial_field(rng, _mode_bases(4))
+        assert [draw.shape for draw in rng.draws] == [(SIZE, SIZE), (SIZE, SIZE)]
+        pooled = np.concatenate([draw.ravel() for draw in rng.draws])
         assert np.std(pooled) == pytest.approx(math.sqrt(COEFF_VARIANCE), rel=0.1)
 
     def test_sample_initial_condition_shape(self):
-        field = FourierInitialCondition.sample(np.random.default_rng(9)).on_grid(11)
-        assert field.shape == (11, 11)
+        bases = _mode_bases(11)
+        assert [basis.shape for basis in bases] == [(SIZE * SIZE, 121)] * 2
+        assert _initial_field(np.random.default_rng(9), bases).shape == (121,)
 
 
 class TestConfigValidation:
@@ -206,7 +235,6 @@ class TestConfigValidation:
     def test_derived_quantities(self):
         config = small_config()
         assert config.n_outputs == 5
-        assert config.sequence_length == 5
         assert config.dt_internal == pytest.approx(0.005)
         assert config.grid_spacing == pytest.approx(2 * np.pi / 16)
 
@@ -220,8 +248,8 @@ class TestRhs:
         grid, so the oracle holds to roundoff.
         """
         g = 16
-        xs, ys = grid_coordinates(g)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        x = grid_coordinates(g)
+        X, Y = np.meshgrid(x, x, indexing="ij")
         u = np.sin(X)
         h = 2 * np.pi / g
         a, b, c = _field_grids(g)
@@ -362,12 +390,23 @@ class TestGenerateDataset:
         ds = generate_dataset(config, tau=2)
         master = np.random.SeedSequence(config.seed)
         _, ic_root = master.spawn(2)
-        fields = np.stack(
-            [FourierInitialCondition.sample(np.random.default_rng(s)).on_grid(16) for s in ic_root.spawn(3)]
-        )
+        fields = np.stack([sample_initial_condition(np.random.default_rng(s), 16) for s in ic_root.spawn(3)])
         snaps = simulate_convdiff(config, fields[1])
         idx = np.round(ds.sites.sites / config.grid_spacing).astype(int)
-        assert np.array_equal(ds.sequences[1], snaps[: config.sequence_length, idx[:, 0], idx[:, 1]])
+        assert np.array_equal(ds.sequences[1], snaps[: config.n_outputs, idx[:, 0], idx[:, 1]])
+
+    def test_keeps_no_memory_after_return(self):
+        """Nothing outlives a call but the dataset: the 3.3 MB Fourier basis of
+        a 24 x 24 grid is built per call and released."""
+        generate_dataset(small_config(grid_size=6, n_sites=4), tau=2)  # first-call allocations
+        tracemalloc.start()
+        try:
+            ds = generate_dataset(small_config(grid_size=24), tau=2)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = ds.sequences.nbytes + ds.sites.sites.nbytes + ds.sites.distance_matrix().nbytes
+        assert held <= arrays + 64 * 1024
 
 
 class TestSequenceDataset:

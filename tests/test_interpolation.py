@@ -149,6 +149,12 @@ class TestFitCoefficients:
         with pytest.raises(ValueError):
             system.fit_matrix(-1e-3)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        system = build_phi(MQ1, np.array([[0.0], [1.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            system.fit_matrix(lam)
+
 
 class TestPairwiseDistances:
     @pytest.mark.parametrize("seed", range(30))

@@ -5,12 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from umtn import autodiff as ad
+from umtn import interpolation
 from umtn import model as model_module
 from umtn.autodiff import ParameterStore, Tensor
 from umtn.errors import ConfigError, DataError
 from umtn.interpolation import SiteSet, build_phi
 from umtn.kernels import KernelFamily, RadialKernel
 from umtn.model import (
+    DEFAULT_REG_LAMBDA,
     DrcConfig,
     DrcModel,
     ModelConfig,
@@ -44,9 +46,9 @@ def build_spatial_features(model):
 
 
 def multilevel_features(model, c0):
-    """U = Phi [c0 | C_1 | ... | C_M] as a plain (n, F*M+1) array."""
+    """U = Phi [c0 | C_1 | ... | C_M] as a plain (n B, F*M+1) array, for an (n, B) block c0."""
     with ad.no_grad():
-        return model.multilevel_feature_tensor(c0).values
+        return model.multilevel_feature_tensor(c0, model.spatial_feature_tensors()).values
 
 
 def parameter_counts(model):
@@ -60,8 +62,9 @@ def parameter_counts(model):
 
 def drc_forward(model, frames):
     """The baseline's next-step prediction from plain (p, n) frames, as an n-vector."""
+    columns = [frame[:, None] for frame in np.asarray(frames, dtype=float)]
     with ad.no_grad():
-        return model.forward(list(np.asarray(frames, dtype=float))).values[:, 0]
+        return model.forward(columns, model.spatial_feature_tensors()).values[:, 0]
 
 
 class TestModelConfig:
@@ -86,7 +89,7 @@ class TestSiteGeometry:
     def test_pair_input_layout(self):
         """Row i*n+j carries site i, site j, and phi(i, j)."""
         sites = site_set(4)
-        geom = SiteGeometry(MQ, sites)
+        geom = SiteGeometry(MQ, sites, DEFAULT_REG_LAMBDA)
         phi = build_phi(MQ, sites).phi
         for i in range(4):
             for j in range(4):
@@ -96,7 +99,7 @@ class TestSiteGeometry:
                 assert row[4] == pytest.approx(phi[i, j])
 
     def test_scaled_inverse_normalized(self):
-        geom = SiteGeometry(MQ, site_set(5))
+        geom = SiteGeometry(MQ, site_set(5), DEFAULT_REG_LAMBDA)
         assert np.max(np.abs(geom.scaled_inv)) == pytest.approx(1.0, abs=1e-12)
 
     def test_fit_matrix_solves_ridge_problem(self):
@@ -107,9 +110,22 @@ class TestSiteGeometry:
 
     def test_dimension_mismatch_rejected(self):
         sites = site_set(4)
-        geometry = SiteGeometry(MQ, sites)
+        geometry = SiteGeometry(MQ, sites, DEFAULT_REG_LAMBDA)
         with pytest.raises(ValueError, match="2-D"):
             UmtnModel(ModelConfig(levels=1, spatial_dim=3), geometry, ParameterStore())
+
+    def test_builds_default_to_one_lambda(self):
+        assert small_model().geometry.reg_lambda == DEFAULT_REG_LAMBDA
+        assert DrcModel.build(DrcConfig(), MQ, site_set(4)).geometry.reg_lambda == DEFAULT_REG_LAMBDA
+
+    def test_phi_is_built_through_the_interpolation_module(self, monkeypatch):
+        """The benchmark counts Phi builds by rebinding `interpolation.build_phi`;
+        the geometry's build must go through that attribute."""
+        calls = []
+        original = interpolation.build_phi
+        monkeypatch.setattr(interpolation, "build_phi", lambda *a: calls.append(1) or original(*a))
+        small_model()
+        assert calls == [1]
 
 
 class TestGlorot:
@@ -135,29 +151,29 @@ def stacked(mats):
 
 class TestLstb:
     def test_zero_features_pass_coefficients_through(self):
-        c = np.random.default_rng(4).normal(size=5)
+        c = np.random.default_rng(4).normal(size=(5, 1))
         zeros = Tensor(np.zeros((15, 5)))
         block = lstb_forward(zeros, Tensor(np.eye(5)), c)
         assert block.shape == (5, 3)
         for f in range(3):
-            assert_allclose(block.values[:, f], c)
+            assert_allclose(block.values[:, f], c[:, 0])
 
     def test_single_feature_oracle(self):
         rng = np.random.default_rng(5)
         s = rng.normal(size=(4, 4))
         g = rng.normal(size=(4, 4))
-        c = rng.normal(size=4)
+        c = rng.normal(size=(4, 1))
         block = lstb_forward(Tensor(s), Tensor(g), c)
-        assert_allclose(block.values[:, 0], c + g @ (s @ c), rtol=1e-12)
+        assert_allclose(block.values, c + g @ (s @ c), rtol=1e-12)
 
     def test_feature_columns_are_independent(self):
         rng = np.random.default_rng(6)
         mats = [rng.normal(size=(3, 3)) for _ in range(4)]
         g = rng.normal(size=(3, 3))
-        c = rng.normal(size=3)
+        c = rng.normal(size=(3, 1))
         block = lstb_forward(Tensor(stacked(mats)), Tensor(g), c)
         for f, m in enumerate(mats):
-            assert_allclose(block.values[:, f], c + g @ (m @ c), rtol=1e-12)
+            assert_allclose(block.values[:, f : f + 1], c + g @ (m @ c), rtol=1e-12)
 
     def test_coefficient_block_rows_are_site_major(self):
         """Column b of an n x B block lands in rows i B + b."""
@@ -305,29 +321,29 @@ class TestSpatialFeatures:
 class TestMultilevelFeatures:
     def test_level_zero_is_interpolated_field(self):
         model = small_model(levels=0, n=5)
-        c0 = np.random.default_rng(11).normal(size=5)
+        c0 = np.random.default_rng(11).normal(size=(5, 1))
         u = multilevel_features(model, c0)
         assert u.shape == (5, 1)
-        assert_allclose(u[:, 0], model.geometry.phi @ c0, rtol=1e-10)
+        assert_allclose(u, model.geometry.phi @ c0, rtol=1e-10)
 
     def test_width_grows_with_levels(self):
         for levels in (1, 2, 3):
             model = small_model(levels=levels, n=4)
-            u = multilevel_features(model, np.ones(4))
+            u = multilevel_features(model, np.ones((4, 1)))
             assert u.shape == (4, 8 * levels + 1)
 
     def test_first_column_is_phi_c_regardless_of_parameters(self):
         model = small_model(levels=2, n=5, seed=17)
-        c0 = np.random.default_rng(12).normal(size=5)
+        c0 = np.random.default_rng(12).normal(size=(5, 1))
         u = multilevel_features(model, c0)
-        assert_allclose(u[:, 0], model.geometry.phi @ c0, rtol=1e-10)
+        assert_allclose(u[:, :1], model.geometry.phi @ c0, rtol=1e-10)
 
     def test_zero_features_collapse_columns(self):
         # with all spatial matrices zero every transformed column equals c
         model = small_model(levels=1, n=4)
         model.params["alpha.w2"].values[:] = 0.0
         model.params["alpha.b2"].values[:] = 0.0
-        c0 = np.random.default_rng(13).normal(size=4)
+        c0 = np.random.default_rng(13).normal(size=(4, 1))
         u = multilevel_features(model, c0)
         for col in range(1, 9):
             assert_allclose(u[:, col], u[:, 0], rtol=1e-10)
@@ -374,18 +390,19 @@ class TestParameterBookkeeping:
 
 class TestRollout:
     def make_inputs(self, model, tau, horizon, seed=14):
+        """Observed and teacher frames of one sequence, as a batch of one."""
         rng = np.random.default_rng(seed)
         total = tau + horizon - 1
-        teacher = rng.normal(size=(total, model.geometry.n))
-        return teacher[:tau], teacher
+        teacher = rng.normal(size=(1, total, model.geometry.n))
+        return teacher[:, :tau], teacher
 
     def test_prediction_count_and_split(self):
         model = small_model(levels=1, n=5)
         observed, _ = self.make_inputs(model, tau=3, horizon=4)
         result = model.rollout(observed, horizon=4)
-        assert result.all_values.shape == (6, 5)
-        assert result.predictions.shape == (4, 5)
-        assert np.array_equal(result.predictions, result.all_values[2:])
+        assert result.all_values.shape == (1, 6, 5)
+        assert result.predictions.shape == (1, 4, 5)
+        assert np.array_equal(result.predictions, result.all_values[:, 2:])
 
     def test_precomputed_operator_gives_the_same_rollout(self):
         model = small_model(levels=2, n=5)
@@ -397,15 +414,15 @@ class TestRollout:
 
     def test_zero_horizon(self):
         model = small_model(levels=1, n=5)
-        observed = np.random.default_rng(15).normal(size=(3, 5))
+        observed = np.random.default_rng(15).normal(size=(1, 3, 5))
         result = model.rollout(observed, horizon=0)
-        assert result.all_values.shape == (2, 5)
-        assert result.predictions.shape == (0, 5)
+        assert result.all_values.shape == (1, 2, 5)
+        assert result.predictions.shape == (1, 0, 5)
 
     def test_single_frame_no_horizon_is_empty(self):
         model = small_model(levels=1, n=5)
-        result = model.rollout(np.zeros((1, 5)), horizon=0)
-        assert result.all_values.shape == (0, 5)
+        result = model.rollout(np.zeros((1, 1, 5)), horizon=0)
+        assert result.all_values.shape == (1, 0, 5)
 
     def test_closed_loop_ignores_teacher_at_probability_zero(self):
         model = small_model(levels=1, n=5)
@@ -422,8 +439,8 @@ class TestRollout:
         forced = model.rollout(observed, horizon=4, teacher_values=teacher, teacher_prob=1.0)
         closed = model.rollout(observed, horizon=4)
         # warm-up predictions agree, forecast steps diverge once inputs differ
-        assert_allclose(forced.all_values[:3], closed.all_values[:3], rtol=1e-12)
-        assert not np.allclose(forced.all_values[3:], closed.all_values[3:])
+        assert_allclose(forced.all_values[:, :3], closed.all_values[:, :3], rtol=1e-12)
+        assert not np.allclose(forced.all_values[:, 3:], closed.all_values[:, 3:])
 
     def test_teacher_draws_are_seeded(self):
         model = small_model(levels=1, n=5)
@@ -450,15 +467,21 @@ class TestRollout:
     def test_validation_errors(self):
         model = small_model(levels=1, n=4)
         with pytest.raises(ValueError):
-            model.rollout(np.zeros((2, 3)), horizon=1)  # wrong site count
+            model.rollout(np.zeros((1, 2, 3)), horizon=1)  # wrong site count
+        with pytest.raises(ValueError, match="B, tau"):
+            model.rollout(np.zeros((2, 4)), horizon=1)  # one sequence is a batch of one
+        with pytest.raises(ValueError, match="B, tau"):
+            model.rollout(np.zeros((0, 2, 4)), horizon=1)  # empty batch
         with pytest.raises(ValueError):
-            model.rollout(np.zeros((2, 4)), horizon=1, teacher_prob=0.5)  # no teacher
+            model.rollout(np.zeros((1, 2, 4)), horizon=-1)
+        with pytest.raises(ValueError):
+            model.rollout(np.zeros((1, 2, 4)), horizon=1, teacher_prob=0.5)  # no teacher
         with pytest.raises(ValueError):
             model.rollout(
-                np.zeros((2, 4)), horizon=1, teacher_values=np.zeros((5, 4)), teacher_prob=0.5
+                np.zeros((1, 2, 4)), horizon=1, teacher_values=np.zeros((1, 5, 4)), teacher_prob=0.5
             )
         with pytest.raises(ValueError):
-            model.rollout(np.zeros((2, 4)), horizon=1, teacher_prob=1.5)
+            model.rollout(np.zeros((1, 2, 4)), horizon=1, teacher_prob=1.5)
 
     def test_site_relabeling_permutes_predictions(self):
         """The architecture has no preferred site order."""
@@ -468,14 +491,14 @@ class TestRollout:
         permuted = UmtnModel.build(
             ModelConfig(levels=1), MQ, SiteSet(sites.sites[perm]), seed=0
         )
-        observed = np.random.default_rng(22).normal(size=(3, 6))
+        observed = np.random.default_rng(22).normal(size=(1, 3, 6))
         base = model.rollout(observed, horizon=3)
-        shuffled = permuted.rollout(observed[:, perm], horizon=3)
-        assert_allclose(shuffled.all_values, base.all_values[:, perm], atol=1e-9)
+        shuffled = permuted.rollout(observed[:, :, perm], horizon=3)
+        assert_allclose(shuffled.all_values, base.all_values[:, :, perm], atol=1e-9)
 
 
 class TestBatchedRollout:
-    """A (B, tau, n) rollout is B sequences advanced together as one block."""
+    """A batch of B sequences equals B batches of one."""
 
     def sequences(self, n, batch=3, length=7, seed=30):
         return np.random.default_rng(seed).normal(size=(batch, length, n))
@@ -495,21 +518,22 @@ class TestBatchedRollout:
         batched = model.rollout(seqs[:, :3], horizon=4)
         assert batched.all_values.shape == (3, 6, 5)
         assert batched.predictions.shape == (3, 4, 5)
-        for b, seq in enumerate(seqs):
-            single = model.rollout(seq[:3], horizon=4)
-            assert_allclose(batched.all_values[b], single.all_values, rtol=0, atol=1e-12)
+        for b in range(3):
+            single = model.rollout(seqs[b : b + 1, :3], horizon=4)
+            assert_allclose(batched.all_values[b : b + 1], single.all_values, rtol=0, atol=1e-12)
 
     def test_teacher_draws_follow_sequence_then_step_order(self):
-        """One batch draws the stream that per-sequence rollouts draw in turn."""
+        """One batch draws the stream that batches of one draw in turn."""
         model = small_model(levels=1, n=5)
         seqs = self.sequences(5)
         batched = model.rollout(
             seqs[:, :3], 4, teacher_values=seqs[:, :6], teacher_prob=0.5, rng=np.random.default_rng(3)
         )
         rng = np.random.default_rng(3)
-        for b, seq in enumerate(seqs):
-            single = model.rollout(seq[:3], 4, teacher_values=seq[:6], teacher_prob=0.5, rng=rng)
-            assert_allclose(batched.all_values[b], single.all_values, rtol=0, atol=1e-12)
+        for b in range(3):
+            seq = seqs[b : b + 1]
+            single = model.rollout(seq[:, :3], 4, teacher_values=seq[:, :6], teacher_prob=0.5, rng=rng)
+            assert_allclose(batched.all_values[b : b + 1], single.all_values, rtol=0, atol=1e-12)
         draws = np.random.default_rng(3).random((3, 3)) < 0.5
         assert draws.any() and not draws.all()  # the mask mixes teacher and model frames
         closed = model.rollout(seqs[:, :3], 4)
@@ -574,20 +598,20 @@ class TestDrcModel:
 
     def test_rollout_placeholders_before_enough_history(self):
         model = DrcModel.build(DrcConfig(past_frames=2), MQ, site_set(4), seed=2)
-        observed = np.random.default_rng(25).normal(size=(3, 4))
+        observed = np.random.default_rng(25).normal(size=(1, 3, 4))
         result = model.rollout(observed, horizon=3)
         assert result.loss_start == 1
-        assert np.all(result.all_values[0] == 0.0)
-        assert not np.allclose(result.all_values[1], 0.0)
+        assert np.all(result.all_values[:, 0] == 0.0)
+        assert not np.allclose(result.all_values[:, 1], 0.0)
 
     def test_rollout_requires_enough_frames(self):
         model = DrcModel.build(DrcConfig(past_frames=3), MQ, site_set(4), seed=3)
         with pytest.raises(ValueError):
-            model.rollout(np.zeros((2, 4)), horizon=2)
+            model.rollout(np.zeros((1, 2, 4)), horizon=2)
 
     def test_rollout_deterministic(self):
         model = DrcModel.build(DrcConfig(), MQ, site_set(4), seed=4)
-        observed = np.random.default_rng(26).normal(size=(3, 4))
+        observed = np.random.default_rng(26).normal(size=(1, 3, 4))
         a = model.rollout(observed, horizon=3)
         b = model.rollout(observed, horizon=3)
         assert np.array_equal(a.all_values, b.all_values)

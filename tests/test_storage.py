@@ -342,7 +342,7 @@ class TestCheckpoint:
         model = sample_model(seed=7)
         save_checkpoint(model, tmp_path / "ck")
         loaded = load_checkpoint(tmp_path / "ck")
-        observed = np.random.default_rng(0).normal(size=(3, 5))
+        observed = np.random.default_rng(0).normal(size=(1, 3, 5))
         a = model.rollout(observed, horizon=3).predictions
         b = loaded.rollout(observed, horizon=3).predictions
         assert np.array_equal(a, b)
@@ -390,6 +390,13 @@ class TestCheckpoint:
 
         patch_manifest(tmp_path / "ck", bump)
         with pytest.raises(DataError, match="parameter names"):
+            load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_invalid_reg_lambda_is_data_error(self, tmp_path, lam):
+        save_checkpoint(sample_model(), tmp_path / "ck")
+        patch_manifest(tmp_path / "ck", lambda m: m.update(reg_lambda=lam))
+        with pytest.raises(DataError, match="manifest field 'reg_lambda'"):
             load_checkpoint(tmp_path / "ck")
 
     @pytest.mark.parametrize("key", ["site_hash", "parameters", "payloads"])

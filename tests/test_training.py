@@ -52,6 +52,12 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(tau=2, horizon=5, early_stop_patience=0)
 
+    @pytest.mark.parametrize("field", ["lr", "scheduled_sampling_k"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rates_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite and positive"):
+            TrainConfig(tau=2, horizon=5, **{field: value})
+
 
 class TestScheduledSampling:
     def test_epoch_zero_value(self):
@@ -87,18 +93,18 @@ class TestSequenceLoss:
     def test_equals_direct_sum(self):
         ds = toy_dataset().normalize()
         model = tiny_model(ds)
-        seq = ds.sequences[0]
-        rollout = model.rollout(seq[:2], ds.horizon, record=True)
-        loss = sequence_loss(rollout, seq[1:])
-        direct = float(np.sum((rollout.all_values - seq[1:]) ** 2))
+        seq = ds.sequences[:1]
+        rollout = model.rollout(seq[:, :2], ds.horizon, record=True)
+        loss = sequence_loss(rollout, seq[:, 1:])
+        direct = float(np.sum((rollout.all_values - seq[:, 1:]) ** 2))
         assert loss.item() == pytest.approx(direct, rel=1e-10)
         model.params.zero_grads()
 
     def test_loss_is_differentiable(self):
         ds = toy_dataset().normalize()
         model = tiny_model(ds)
-        seq = ds.sequences[0]
-        loss = sequence_loss(model.rollout(seq[:2], ds.horizon, record=True), seq[1:])
+        seq = ds.sequences[:1]
+        loss = sequence_loss(model.rollout(seq[:, :2], ds.horizon, record=True), seq[:, 1:])
         ad.backward(loss, model.params)
         grads = [model.params[n].grad for n in model.params.names()]
         assert all(g is not None for g in grads)
@@ -106,7 +112,7 @@ class TestSequenceLoss:
         model.params.zero_grads()
 
     def test_batch_loss_is_sum_of_sequence_losses(self):
-        """Loss and gradients of a batch equal the mean of per-sequence ones."""
+        """Loss and gradients of a batch equal the mean of those of batches of one."""
         ds = toy_dataset(n_sequences=4, split=(2, 1, 1)).normalize()
         model = tiny_model(ds)
         seqs = ds.sequences[:3]
@@ -123,7 +129,7 @@ class TestSequenceLoss:
 
         batch_loss, batch_grads = loss_and_grads(seqs[:, :2], seqs[:, :-1], seqs[:, 1:], np.random.default_rng(4))
         rng = np.random.default_rng(4)
-        singles = [loss_and_grads(seq[:2], seq[:-1], seq[1:], rng) for seq in seqs]
+        singles = [loss_and_grads(seq[:, :2], seq[:, :-1], seq[:, 1:], rng) for seq in np.split(seqs, 3)]
         assert batch_loss / 3 == pytest.approx(np.mean([value for value, _ in singles]), rel=1e-10)
         for name, grad in batch_grads.items():
             mean = np.mean([grads[name] for _, grads in singles], axis=0)
