@@ -162,6 +162,7 @@ def test_generator_shapes_and_dynamics():
     assert default.n_outputs == 20
     assert default.n_sites == 250
     assert default.split == (700, 150, 150)
+    assert default.substeps_per_output == 2
 
     reduced = ConvDiffConfig(
         grid_size=16,

@@ -626,14 +626,20 @@ def test_out_that_is_a_directory_exits_3(workspace, tmp_path, capsys, argv):
         ("train", "model", {**TRAIN_CONFIG, "model": [1]}),
         ("solve", "dt", {**TestSolve().solve_config(), "dt": [0.1]}),
         ("solve", "boundary", {**TestSolve().solve_config(), "boundary": [1]}),
+        ("gen-data", "t_end", {**GEN_CONFIG, "t_end": float("inf")}),
+        ("gen-data", "substeps_per_output", {**GEN_CONFIG, "substeps_per_output": 2.5}),
+        ("gen-data", "n_sites", {**GEN_CONFIG, "n_sites": 10.5}),
+        ("gen-data", "grid_size", {**GEN_CONFIG, "grid_size": 12.5}),
+        ("gen-data", "seed", {**GEN_CONFIG, "seed": -1}),
     ],
     ids=lambda value: value if isinstance(value, str) else None,
 )
 def test_config_value_of_wrong_type_exits_2(workspace, tmp_path, capsys, command, field, config):
-    """A config value of the wrong JSON type is a ConfigError naming the field
-    (one JSON line, exit 2), not a traceback."""
+    """A config value of the wrong JSON type or out of range is a ConfigError
+    naming the field (one JSON line, exit 2), not a traceback, and nothing is
+    written."""
     save_json(config, tmp_path / "config.json")
-    data = [] if command == "solve" else ["--data", str(workspace / "ds")]
+    data = [] if command in ("solve", "gen-data") else ["--data", str(workspace / "ds")]
     code, _, err = run(
         capsys, command, *data, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")
     )

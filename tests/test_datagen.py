@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 from umtn.datagen import (
     CHUNK_VALUES,
     COEFF_VARIANCE,
+    MAX_DIFFUSION,
     MAX_MODE,
     ConvDiffConfig,
     SequenceDataset,
@@ -228,6 +230,58 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="stability"):
             ConvDiffConfig(substeps_per_output=1)
 
+    def test_unstable_count_names_the_minimum(self):
+        with pytest.raises(ConfigError, match="substeps_per_output must be at least 2"):
+            ConvDiffConfig(substeps_per_output=1)
+        with pytest.raises(ConfigError, match="substeps_per_output must be at least 6"):
+            ConvDiffConfig(grid_size=100, substeps_per_output=5)
+
+    @pytest.mark.parametrize("dt_out", [0.003, 0.01, 0.05, 0.2])
+    def test_default_substeps_are_the_fewest_stable(self, dt_out):
+        """Over grids 2..128 the resolved count keeps dt_out / n under
+        h^2 / (4 max c), and one substep fewer would not."""
+        for g in range(2, 129):
+            config = ConvDiffConfig(
+                grid_size=g, dt_out=dt_out, t_end=dt_out, n_sites=1, n_sequences=3, split=(1, 1, 1)
+            )
+            n = config.substeps_per_output
+            bound = (2 * math.pi / g) ** 2 / (4 * MAX_DIFFUSION)
+            assert type(n) is int
+            assert dt_out / n < bound
+            assert n == 1 or dt_out / (n - 1) >= bound
+
+    def test_default_substeps_at_known_grids(self):
+        configs = [small_config(grid_size=g, n_sites=1, substeps_per_output=None) for g in (12, 16, 50, 100)]
+        assert [config.substeps_per_output for config in configs] == [1, 1, 2, 6]
+
+    def test_explicit_substeps_kept(self):
+        assert small_config(substeps_per_output=7).substeps_per_output == 7
+        assert ConvDiffConfig(substeps_per_output=10).substeps_per_output == 10
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("t_end", math.inf),
+            ("t_end", math.nan),
+            ("dt_out", -math.inf),
+            ("dt_out", 0.0),
+            ("dt_out", "0.01"),
+            ("grid_size", 12.5),
+            ("grid_size", True),
+            ("grid_size", 10**200),
+            ("n_sites", 10.5),
+            ("n_sites", 0),
+            ("n_sequences", 3.0),
+            ("substeps_per_output", 2.5),
+            ("substeps_per_output", 0),
+            ("seed", -1),
+            ("seed", 1.5),
+        ],
+    )
+    def test_bad_field_rejected_naming_it(self, field, value):
+        with pytest.raises(ConfigError, match=repr(field)):
+            small_config(**{field: value})
+
     def test_too_many_sites_rejected(self):
         with pytest.raises(ConfigError, match="exceeds"):
             small_config(grid_size=3, n_sites=10)
@@ -394,6 +448,18 @@ class TestGenerateDataset:
         snaps = simulate_convdiff(config, fields[1])
         idx = np.round(ds.sites.sites / config.grid_spacing).astype(int)
         assert np.array_equal(ds.sequences[1], snaps[: config.n_outputs, idx[:, 0], idx[:, 1]])
+
+    @pytest.mark.parametrize("grid_size, max_gap", [(12, 3e-5), (50, 3e-4)])
+    def test_default_substeps_stay_close_to_a_fine_reference(self, grid_size, max_gap):
+        """With the fewest stable substeps, three sequences over the whole grid
+        (t_end 0.2, seed 1) stay within max_gap of 40 substeps: measured
+        2.58e-5 at g=12 and 2.78e-4 at g=50, on fields of max 7.4 and 9.8."""
+        config = small_config(grid_size=grid_size, t_end=0.2, n_sites=grid_size**2, substeps_per_output=None, seed=1)
+        default = generate_dataset(config, tau=5).sequences
+        reference = generate_dataset(dataclasses.replace(config, substeps_per_output=40), tau=5).sequences
+        gap = float(np.max(np.abs(default - reference)))
+        print(f"g={grid_size}: {config.substeps_per_output} substeps, max gap to 40 substeps {gap:.3e}")
+        assert gap < max_gap
 
     def test_keeps_no_memory_after_return(self):
         """Nothing outlives a call but the dataset: the 3.3 MB Fourier basis of
