@@ -24,7 +24,7 @@ import numpy as np
 from . import storage
 from .collocation import CollocationStepper, solve_ivp
 from .datagen import ConvDiffConfig, generate_dataset
-from .errors import ConfigError, DataError, UmtnError, invalid_field
+from .errors import ConfigError, DataError, UmtnError, invalid_field, require_int
 from .evaluation import evaluate_model, forecast, persistence_baseline
 from .interpolation import build_phi, loocv_select_kernel
 from .kernels import LinearOperatorSpec, RadialKernel
@@ -84,13 +84,17 @@ def _float_array(value) -> np.ndarray:
 
 def _cmd_gen_data(args) -> int:
     config = _load_config(args)
-    tau = _config_value(config, "tau", int, 5)
+    tau = config.get("tau", 5)
+    require_int("tau", tau, 1)
     fields = {key: value for key, value in config.items() if key != "tau"}
     if args.seed is not None:
         fields["seed"] = args.seed
     with invalid_field("gen-data config", ConfigError):
         gen_config = ConvDiffConfig(**fields)
-    dataset = generate_dataset(gen_config, tau=tau)
+    try:
+        dataset = generate_dataset(gen_config, tau=tau)
+    except MemoryError as exc:
+        raise ConfigError(f"gen-data config is too large to generate: {exc}") from exc
     storage.save_dataset(dataset, _require_out(args))
     print(
         f"wrote {dataset.n_sequences} sequences x {dataset.sequence_length} steps "
@@ -263,9 +267,10 @@ def _cmd_predict(args) -> int:
     model = storage.load_checkpoint(args.checkpoint[0])
     require_same_sites(model, dataset.sites)
     split = config.get("split", "test")
-    offset = _config_value(config, "sequence", int, 0)
+    offset = config.get("sequence", 0)
+    require_int("sequence", offset, 0)
     indices = dataset.split_indices(split)
-    if offset < 0 or offset >= indices.size:
+    if offset >= indices.size:
         raise ConfigError(f"sequence {offset} out of range for split {split!r}")
     seq = dataset.sequences[indices[offset]]
     predictions = forecast(model, seq[None, : dataset.tau], dataset.horizon)[0]

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DivergenceError
+from .errors import ConfigError, DataError, DivergenceError, require_int
 from .interpolation import SiteSet
 
 # Highest Fourier mode index of the random initial condition (inclusive).
@@ -63,13 +63,6 @@ def _min_substeps(dt_out: float, h: float) -> int:
     return math.floor(dt_out / bound) + 1
 
 
-def _require_int(name: str, value, minimum: int) -> None:
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ConfigError(f"{name!r} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{name!r} must be at least {minimum}, got {value!r}")
-
-
 @dataclass
 class ConvDiffConfig:
     """Generation settings for the convection-diffusion benchmark.
@@ -91,29 +84,31 @@ class ConvDiffConfig:
 
     def __post_init__(self):
         # Field types and ranges first: every later check does arithmetic on them.
-        _require_int("grid_size", self.grid_size, 2)
-        _require_int("n_sites", self.n_sites, 1)
-        _require_int("n_sequences", self.n_sequences, 1)
-        _require_int("seed", self.seed, 0)
+        require_int("grid_size", self.grid_size, 2)
+        require_int("n_sites", self.n_sites, 1)
+        require_int("n_sequences", self.n_sequences, 1)
+        require_int("seed", self.seed, 0)
         for name in ("dt_out", "t_end"):
             value = getattr(self, name)
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
             if not (real and math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name!r} must be a finite positive number, got {value!r}")
-        self.split = tuple(int(s) for s in self.split)
+        self.split = tuple(self.split)
+        for count in self.split:
+            require_int("split", count, 1)
         n_out = self.t_end / self.dt_out
         if abs(n_out - round(n_out)) > 1e-9 * max(n_out, 1.0):
             raise ConfigError(f"t_end={self.t_end} is not an integer multiple of dt_out={self.dt_out}")
         minimum = _min_substeps(self.dt_out, self.grid_spacing)
         if self.substeps_per_output is None:
             self.substeps_per_output = minimum
-        _require_int("substeps_per_output", self.substeps_per_output, 1)
+        require_int("substeps_per_output", self.substeps_per_output, 1)
         if self.substeps_per_output < minimum:
             raise ConfigError(
                 f"internal step {self.dt_internal:.3e} violates the diffusion stability bound; "
                 f"substeps_per_output must be at least {minimum}"
             )
-        if len(self.split) != 3 or any(s <= 0 for s in self.split):
+        if len(self.split) != 3:
             raise ConfigError("split must be three positive counts")
         if sum(self.split) != self.n_sequences:
             raise ConfigError(
@@ -398,13 +393,13 @@ class SequenceDataset:
             return np.asarray(values) * self._std() + self.mean
 
 
-def generate_dataset(config: ConvDiffConfig, tau: int = 5, chunk_size: int | None = None) -> SequenceDataset:
+def generate_dataset(config: ConvDiffConfig, tau: int = 5) -> SequenceDataset:
     """Simulate independent sequences and subsample them at shared random sites.
 
     Deterministic per config.seed: the site choice and each sequence's initial
     condition come from seeds spawned off the master seed, so chunking does
-    not change the result.  By default a chunk holds max(1, CHUNK_VALUES //
-    g^2) sequences.  The integration stops at the last kept snapshot.
+    not change the result.  A chunk holds max(1, CHUNK_VALUES // g^2)
+    sequences.  The integration stops at the last kept snapshot.
     """
     g = config.grid_size
     master = np.random.SeedSequence(config.seed)
@@ -418,8 +413,7 @@ def generate_dataset(config: ConvDiffConfig, tau: int = 5, chunk_size: int | Non
     length = config.n_outputs  # the trailing snapshot at t_end is dropped
     flat_idx = np.asarray(site_idx)
     bases = _mode_bases(g)
-    if chunk_size is None:
-        chunk_size = max(1, CHUNK_VALUES // (g * g))
+    chunk_size = max(1, CHUNK_VALUES // (g * g))
     sequences = np.empty((config.n_sequences, length, config.n_sites))
     for start in range(0, config.n_sequences, chunk_size):
         stop = min(start + chunk_size, config.n_sequences)

@@ -5,6 +5,7 @@ radii).  The classes below mark failures that callers are expected to branch
 on, and the CLI maps them to stable exit codes.
 """
 
+import numbers
 from contextlib import contextmanager
 
 
@@ -60,3 +61,12 @@ def invalid_field(field: str, error: type):
         yield
     except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
         raise error(f"{field} is invalid: {exc!r}") from exc
+
+
+def require_int(name: str, value, minimum: int) -> None:
+    """Raise ConfigError naming `name` unless `value` is an integer (not a
+    bool, not a float with an integral value) of at least `minimum`."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigError(f"{name!r} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name!r} must be at least {minimum}, got {value!r}")

@@ -13,7 +13,7 @@ its size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -77,7 +77,6 @@ class EvalReport:
     n_runs: int
     std_degenerate: bool
     split: str
-    seeds: Optional[list[int]] = None
 
     def to_dict(self) -> dict:
         return {
@@ -93,13 +92,10 @@ class EvalReport:
                 "split": self.split,
             },
             "std_degenerate": self.std_degenerate,
-            "seeds": self.seeds,
         }
 
 
-def _aggregate(
-    abs_errors: np.ndarray, tau: int, horizon: int, split: str, seeds=None
-) -> EvalReport:
+def _aggregate(abs_errors: np.ndarray, tau: int, horizon: int, split: str) -> EvalReport:
     """Build a report from |error| of shape (runs, sequences, T, n)."""
     per_run = [float(np.mean(run)) for run in abs_errors]
     n_runs = len(per_run)
@@ -117,7 +113,6 @@ def _aggregate(
         n_runs=n_runs,
         std_degenerate=degenerate,
         split=split,
-        seeds=list(seeds) if seeds is not None else None,
     )
 
 
@@ -125,7 +120,6 @@ def evaluate_model(
     models: Union[UmtnModel, Sequence[UmtnModel]],
     dataset: SequenceDataset,
     split: str = "test",
-    seeds: Optional[Sequence[int]] = None,
 ) -> EvalReport:
     """Closed-loop MAE of one or more trained models over a split.
 
@@ -148,7 +142,7 @@ def evaluate_model(
     errors = np.empty((len(models), values.shape[0], horizon, dataset.sites.n))
     for r, model in enumerate(models):
         errors[r] = np.abs(values[:, tau:] - forecast(model, values[:, :tau], horizon))
-    return _aggregate(errors, tau, horizon, split, seeds)
+    return _aggregate(errors, tau, horizon, split)
 
 
 def persistence_baseline(dataset: SequenceDataset, split: str = "test") -> EvalReport:

@@ -36,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from . import interpolation
 from .autodiff import ParameterStore, Tensor
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_int
 from .interpolation import SiteSet, scaled_inverse
 from .kernels import RadialKernel
 
@@ -56,13 +56,14 @@ class ModelConfig:
     rfn_hidden: int = 64
 
     def __post_init__(self):
-        self.s_alpha_hidden = tuple(int(h) for h in self.s_alpha_hidden)
-        if self.levels < 0:
-            raise ConfigError("levels must be nonnegative")
-        if self.spatial_dim < 1 or self.feature_width < 1:
-            raise ConfigError("spatial_dim and feature_width must be positive")
-        if len(self.s_alpha_hidden) != 2 or self.nab_hidden < 1 or self.rfn_hidden < 1:
-            raise ConfigError("hidden layer sizes must be positive (two for the spatial net)")
+        self.s_alpha_hidden = tuple(self.s_alpha_hidden)
+        if len(self.s_alpha_hidden) != 2:
+            raise ConfigError("s_alpha_hidden must hold the two hidden layer sizes of the spatial net")
+        require_int("levels", self.levels, 0)
+        for name in ("spatial_dim", "feature_width", "nab_hidden", "rfn_hidden"):
+            require_int(name, getattr(self, name), 1)
+        for i, width in enumerate(self.s_alpha_hidden):
+            require_int(f"s_alpha_hidden[{i}]", width, 1)
 
     @property
     def s_input_width(self) -> int:

@@ -2,8 +2,12 @@
 
 Every artifact is a directory holding a textual ``manifest.json`` plus raw
 little-endian float64 payload files, so anything can parse it without extra
-dependencies.  Loaders verify a format version, per-payload sha256 checksums,
-exact byte lengths against the declared shapes, and finiteness.
+dependencies.  Every payload, a checkpoint's ``params.bin`` included, is
+declared under the manifest's ``payloads`` with its shape and sha256; all
+artifacts go through `_save_artifact` and `_load_artifact`, which verify the
+format version, the kind, and each payload's checksum, byte length and
+finiteness.  Checkpoints from before ``params.bin`` was declared there fail
+to load (DataError) and must be retrained.
 
 Every file the package writes is either fully written or not written at all:
 artifacts are built in a private temp directory renamed into place
@@ -18,6 +22,7 @@ import json
 import os
 import shutil
 from contextlib import contextmanager
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
@@ -34,9 +39,9 @@ FORMAT_VERSION = 1
 # Keys each kind of manifest must carry, and the payloads it must describe.
 _MANIFEST_KEYS = {
     "dataset": "dim n_sites n_sequences sequence_length tau split normalized mean variance seed payloads".split(),
-    "checkpoint": "model_config kernel reg_lambda site_hash parameters params_sha256 payloads".split(),
+    "checkpoint": "model_config kernel reg_lambda site_hash parameters payloads".split(),
 }
-_MANIFEST_PAYLOADS = {"dataset": ("sites.bin", "sequences.bin"), "checkpoint": ("sites.bin",)}
+_MANIFEST_PAYLOADS = {"dataset": ("sites.bin", "sequences.bin"), "checkpoint": ("sites.bin", "params.bin")}
 
 
 class ChecksumError(DataError):
@@ -149,12 +154,27 @@ def _read_payload(directory: Path, name: str, meta: dict) -> np.ndarray:
     return values
 
 
-def _load_manifest(directory: Path, kind: str) -> dict:
-    path = directory / "manifest.json"
-    if not path.exists():
+def _save_artifact(
+    path: Union[str, Path], kind: str, fields: dict, payloads: dict[str, np.ndarray], files: Optional[dict] = None
+) -> None:
+    """Write a `kind` artifact whole or not at all: one file per payload, a
+    manifest of `fields` plus every payload's shape and sha256, and each of
+    `files` (name -> text) verbatim, which no checksum covers."""
+    with _atomic_directory(path) as directory:
+        for name, text in (files or {}).items():
+            (directory / name).write_bytes(text.encode())
+        meta = {name: _write_payload(directory, name, array) for name, array in payloads.items()}
+        manifest = {"format_version": FORMAT_VERSION, "kind": kind, **fields, "payloads": meta}
+        save_json(manifest, directory / "manifest.json")
+
+
+def _load_artifact(path: Union[str, Path], kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The checked manifest of a `kind` artifact and every payload its kind declares."""
+    directory = Path(path)
+    if not (directory / "manifest.json").exists():
         raise DataError(f"no manifest.json under {directory}")
     try:
-        manifest = json.loads(path.read_text())
+        manifest = json.loads((directory / "manifest.json").read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"manifest.json is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
@@ -172,42 +192,31 @@ def _load_manifest(directory: Path, kind: str) -> dict:
             missing.append(f"payloads[{name}]")
     if missing:
         raise DataError(f"{kind} manifest lacks {', '.join(missing)}")
-    return manifest
+    arrays = {name: _read_payload(directory, name, payloads[name]) for name in _MANIFEST_PAYLOADS[kind]}
+    return manifest, arrays
 
 
 def save_dataset(dataset: SequenceDataset, path: Union[str, Path]) -> None:
-    with _atomic_directory(path) as directory:
-        manifest = {
-            "format_version": FORMAT_VERSION,
-            "kind": "dataset",
-            "dim": dataset.sites.dim,
-            "n_sites": dataset.sites.n,
-            "n_sequences": dataset.n_sequences,
-            "sequence_length": dataset.sequence_length,
-            "tau": dataset.tau,
-            "horizon": dataset.horizon,
-            "split": list(dataset.split),
-            "normalized": dataset.normalized,
-            "mean": dataset.mean,
-            "variance": dataset.variance,
-            "seed": dataset.seed,
-            "payloads": {},
-        }
-        manifest["payloads"]["sites.bin"] = _write_payload(
-            directory, "sites.bin", dataset.sites.sites
-        )
-        manifest["payloads"]["sequences.bin"] = _write_payload(
-            directory, "sequences.bin", dataset.sequences
-        )
-        save_json(manifest, directory / "manifest.json")
+    fields = {
+        "dim": dataset.sites.dim,
+        "n_sites": dataset.sites.n,
+        "n_sequences": dataset.n_sequences,
+        "sequence_length": dataset.sequence_length,
+        "tau": dataset.tau,
+        "horizon": dataset.horizon,
+        "split": list(dataset.split),
+        "normalized": dataset.normalized,
+        "mean": dataset.mean,
+        "variance": dataset.variance,
+        "seed": dataset.seed,
+    }
+    payloads = {"sites.bin": dataset.sites.sites, "sequences.bin": dataset.sequences}
+    _save_artifact(path, "dataset", fields, payloads)
 
 
 def load_dataset(path: Union[str, Path]) -> SequenceDataset:
-    directory = Path(path)
-    manifest = _load_manifest(directory, "dataset")
-    payloads = manifest["payloads"]
-    sites = _read_payload(directory, "sites.bin", payloads["sites.bin"])
-    sequences = _read_payload(directory, "sequences.bin", payloads["sequences.bin"])
+    manifest, payloads = _load_artifact(path, "dataset")
+    sites, sequences = payloads["sites.bin"], payloads["sequences.bin"]
     if list(sites.shape) != [manifest["n_sites"], manifest["dim"]]:
         raise DataError("sites payload shape disagrees with the manifest")
     expected = [manifest["n_sequences"], manifest["sequence_length"], manifest["n_sites"]]
@@ -234,45 +243,32 @@ def save_checkpoint(
 ) -> None:
     """Persist parameters plus everything needed to rebuild the model.
 
-    `extra` is free-form metadata stored in the manifest.  `history_csv`, when
-    given, is written as ``history.csv`` inside the same atomic build, so the
-    checkpoint and its training history appear together or not at all; no
-    checksum covers it.
+    The parameters are one payload, ``params.bin``, concatenated in the order
+    of the manifest's ``parameters`` list of names and shapes.  `extra` is
+    free-form metadata stored in the manifest.  `history_csv`, when given, is
+    written as ``history.csv`` inside the same atomic build, so the checkpoint
+    and its training history appear together or not at all.
     """
-    with _atomic_directory(path) as directory:
-        if history_csv is not None:
-            (directory / "history.csv").write_bytes(history_csv.encode())
-        names = model.params.names()
-        blob = b"".join(
-            np.ascontiguousarray(model.params[name].values, dtype="<f8").tobytes()
-            for name in names
-        )
-        (directory / "params.bin").write_bytes(blob)
-        manifest = {
-            "format_version": FORMAT_VERSION,
-            "kind": "checkpoint",
-            "model_config": model.config.to_dict(),
-            "kernel": model.geometry.kernel.to_dict(),
-            "reg_lambda": model.geometry.reg_lambda,
-            "site_hash": model.geometry.site_hash,
-            "parameters": [
-                {"name": name, "shape": list(model.params[name].values.shape)}
-                for name in names
-            ],
-            "params_sha256": hashlib.sha256(blob).hexdigest(),
-            "payloads": {
-                "sites.bin": _write_payload(directory, "sites.bin", model.geometry.site_set.sites)
-            },
-            "extra": extra or {},
-        }
-        save_json(manifest, directory / "manifest.json")
+    names = model.params.names()
+    fields = {
+        "model_config": model.config.to_dict(),
+        "kernel": model.geometry.kernel.to_dict(),
+        "reg_lambda": model.geometry.reg_lambda,
+        "site_hash": model.geometry.site_hash,
+        "parameters": [{"name": name, "shape": list(model.params[name].shape)} for name in names],
+        "extra": extra or {},
+    }
+    payloads = {
+        "sites.bin": model.geometry.site_set.sites,
+        "params.bin": np.concatenate([model.params[name].values.ravel() for name in names]),
+    }
+    files = None if history_csv is None else {"history.csv": history_csv}
+    _save_artifact(path, "checkpoint", fields, payloads, files)
 
 
 def load_checkpoint(path: Union[str, Path]) -> UmtnModel:
-    directory = Path(path)
-    manifest = _load_manifest(directory, "checkpoint")
-    sites = _read_payload(directory, "sites.bin", manifest["payloads"]["sites.bin"])
-    site_set = SiteSet(sites)
+    manifest, payloads = _load_artifact(path, "checkpoint")
+    site_set = SiteSet(payloads["sites.bin"])
     if site_set.content_hash() != manifest["site_hash"]:
         raise DataError("checkpoint site hash does not match the stored sites")
     with _manifest_field("model_config"):
@@ -282,31 +278,21 @@ def load_checkpoint(path: Union[str, Path]) -> UmtnModel:
     with _manifest_field("reg_lambda"):
         geometry = SiteGeometry(kernel, site_set, reg_lambda=manifest["reg_lambda"])
     params = UmtnModel.initialize_params(config, seed=0)
-    params_path = directory / "params.bin"
-    if not params_path.exists():
-        raise DataError("missing payload params.bin")
-    blob = params_path.read_bytes()
-    if hashlib.sha256(blob).hexdigest() != manifest["params_sha256"]:
-        raise ChecksumError("payload params.bin: checksum mismatch")
+    expected = [(name, params[name].shape) for name in params.names()]
     with _manifest_field("parameters"):
-        entries = [(entry["name"], tuple(entry["shape"])) for entry in manifest["parameters"]]
-    if sorted(name for name, _ in entries) != sorted(params.names()):
-        raise DataError("checkpoint parameter names do not match the model config")
-    offset = 0
-    for name, shape in entries:
-        if shape != params[name].shape:
-            raise DataError(f"parameter {name} has shape {shape}, the model config gives {params[name].shape}")
-        count = params[name].values.size
-        chunk = blob[offset : offset + count * 8]
-        if len(chunk) != count * 8:
-            raise TruncatedPayloadError(f"payload params.bin: truncated at {name}")
-        offset += count * 8
-        values = np.frombuffer(chunk, dtype="<f8").reshape(params[name].shape).astype(float)
-        if not np.all(np.isfinite(values)):
-            raise DataError(f"parameter {name} contains non-finite values")
-        params[name].values = values
-    if offset != len(blob):
-        raise TruncatedPayloadError("payload params.bin: trailing bytes")
+        stored = [(entry["name"], tuple(entry["shape"])) for entry in manifest["parameters"]]
+    for entry, want in zip_longest(stored, expected):
+        if entry != want:
+            name = (entry or want)[0]
+            raise DataError(
+                f"checkpoint parameter {name!r} does not match the model config: stored {entry}, expected {want}"
+            )
+    sizes = [params[name].values.size for name, _ in expected]
+    flat = payloads["params.bin"]
+    if flat.shape != (sum(sizes),):
+        raise DataError(f"payload params.bin has shape {flat.shape}, the parameters need ({sum(sizes)},)")
+    chunks = np.split(flat, np.cumsum(sizes)[:-1])
+    params.load_snapshot({name: chunk.reshape(shape) for (name, shape), chunk in zip(expected, chunks)})
     return UmtnModel(config, geometry, params)
 
 

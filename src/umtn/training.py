@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, adam_step, backward
 from .datagen import SequenceDataset
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, require_int
 from .evaluation import forecast, mae
 from .model import UmtnModel, require_same_sites
 
@@ -40,17 +40,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("tau", "horizon", "max_epochs", "early_stop_patience"):
+            require_int(name, getattr(self, name), 1)
+        if self.batch_size is not None:
+            require_int("batch_size", self.batch_size, 1)
+        require_int("seed", self.seed, 0)
         # Written so that NaN fails the comparison too.
         if not 0 < self.lr < math.inf:
             raise ConfigError("lr must be finite and positive")
-        if self.max_epochs < 1 or self.early_stop_patience < 1:
-            raise ConfigError("max_epochs and early_stop_patience must be >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1 when given")
         if not 0 < self.scheduled_sampling_k < math.inf:
             raise ConfigError("scheduled_sampling_k must be finite and positive")
-        if self.tau < 1 or self.horizon < 1:
-            raise ConfigError("tau and horizon must be >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -618,6 +618,11 @@ def test_out_that_is_a_directory_exits_3(workspace, tmp_path, capsys, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "solve.json"]
 
 
+def train_config(**sections):
+    """TRAIN_CONFIG with the given fields of its "model" or "train" section replaced."""
+    return {**TRAIN_CONFIG, **{key: {**TRAIN_CONFIG[key], **fields} for key, fields in sections.items()}}
+
+
 @pytest.mark.parametrize(
     "command, field, config",
     [
@@ -631,6 +636,17 @@ def test_out_that_is_a_directory_exits_3(workspace, tmp_path, capsys, argv):
         ("gen-data", "n_sites", {**GEN_CONFIG, "n_sites": 10.5}),
         ("gen-data", "grid_size", {**GEN_CONFIG, "grid_size": 12.5}),
         ("gen-data", "seed", {**GEN_CONFIG, "seed": -1}),
+        ("gen-data", "tau", {**GEN_CONFIG, "tau": 2.7}),
+        ("train", "levels", train_config(model={"levels": 1.5})),
+        ("train", "feature_width", train_config(model={"feature_width": 2.5})),
+        ("train", "rfn_hidden", train_config(model={"rfn_hidden": 4.0})),
+        ("train", "s_alpha_hidden[1]", train_config(model={"s_alpha_hidden": [6, 4.0]})),
+        ("train", "max_epochs", train_config(train={"max_epochs": 1.5})),
+        ("train", "batch_size", train_config(train={"batch_size": 1.5})),
+        ("train", "early_stop_patience", train_config(train={"early_stop_patience": 1.5})),
+        ("train", "seed", train_config(train={"seed": 1.5})),
+        ("train", "seed", train_config(train={"seed": -1})),
+        ("predict", "sequence", {"sequence": 1.9}),
     ],
     ids=lambda value: value if isinstance(value, str) else None,
 )
@@ -640,6 +656,8 @@ def test_config_value_of_wrong_type_exits_2(workspace, tmp_path, capsys, command
     written."""
     save_json(config, tmp_path / "config.json")
     data = [] if command in ("solve", "gen-data") else ["--data", str(workspace / "ds")]
+    if command == "predict":
+        data += ["--checkpoint", str(workspace / "ck")]
     code, _, err = run(
         capsys, command, *data, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")
     )
@@ -649,6 +667,21 @@ def test_config_value_of_wrong_type_exits_2(workspace, tmp_path, capsys, command
     assert detail["error"] == "ConfigError"
     assert repr(field) in detail["message"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_gen_data_too_large_to_allocate_exits_2(tmp_path, capsys):
+    """A grid whose arrays cannot be allocated is a ConfigError (one JSON
+    line, exit 2) and leaves no dataset.  The first 10^7 x 10^7 array fails
+    at allocation; what is touched before it, the grid coordinates, peaks
+    near 160 MB."""
+    save_json({"grid_size": 10_000_000, "n_sites": 4, "n_sequences": 3, "split": [1, 1, 1]}, tmp_path / "gen.json")
+    code, _, err = run(capsys, "gen-data", "--config", str(tmp_path / "gen.json"), "--out", str(tmp_path / "ds"))
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    detail = stderr_json(err)
+    assert detail["error"] == "ConfigError"
+    assert "too large to generate" in detail["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.json"]
 
 
 @pytest.mark.parametrize(

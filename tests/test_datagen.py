@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from umtn import datagen
 from umtn.datagen import (
     CHUNK_VALUES,
     COEFF_VARIANCE,
@@ -218,7 +219,7 @@ class TestConfigValidation:
             small_config(split=(1, 1, 2))
 
     def test_split_counts_must_be_positive(self):
-        with pytest.raises(ConfigError, match="positive"):
+        with pytest.raises(ConfigError, match="'split' must be at least 1, got 0"):
             small_config(split=(3, 0, 0))
 
     def test_t_end_must_be_multiple_of_dt_out(self):
@@ -276,6 +277,7 @@ class TestConfigValidation:
             ("substeps_per_output", 0),
             ("seed", -1),
             ("seed", 1.5),
+            ("split", (1.5, 1, 1)),
         ],
     )
     def test_bad_field_rejected_naming_it(self, field, value):
@@ -428,7 +430,7 @@ class TestGenerateDataset:
         second = generate_dataset(small_config(seed=4), tau=2)
         assert not np.array_equal(first.sequences, second.sequences)
 
-    def test_chunking_does_not_change_values(self):
+    def test_chunking_does_not_change_values(self, monkeypatch):
         # At g=50 the default chunk is the budget's 10 sequences, fewer than all 12.
         config = small_config(
             grid_size=50, t_end=0.03, substeps_per_output=10, n_sites=20, n_sequences=12, split=(8, 2, 2), seed=5
@@ -436,7 +438,8 @@ class TestGenerateDataset:
         assert CHUNK_VALUES // 50**2 == 10
         default = generate_dataset(config, tau=1)
         for chunk_size in (1, 3, 12):
-            chunked = generate_dataset(config, tau=1, chunk_size=chunk_size)
+            monkeypatch.setattr(datagen, "CHUNK_VALUES", chunk_size * 50**2)
+            chunked = generate_dataset(config, tau=1)
             assert np.array_equal(chunked.sequences, default.sequences)
 
     def test_sequences_are_kept_snapshots_at_sites(self):

@@ -389,7 +389,62 @@ class TestCheckpoint:
             m["model_config"]["levels"] += 1
 
         patch_manifest(tmp_path / "ck", bump)
-        with pytest.raises(DataError, match="parameter names"):
+        # The stored rfn.wz sits where the two-level config expects nab2.w0.
+        with pytest.raises(DataError, match=r"parameter 'rfn\.wz' does not match the model config.*'nab2\.w0'"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_parameter_shape_mismatch_names_the_parameter(self, tmp_path):
+        save_checkpoint(sample_model(), tmp_path / "ck")
+        entry = read_manifest(tmp_path / "ck")["parameters"][1]
+
+        def reshape(m):
+            m["parameters"][1]["shape"] = entry["shape"][::-1] + [1]
+
+        patch_manifest(tmp_path / "ck", reshape)
+        with pytest.raises(DataError, match=f"parameter {entry['name']!r} does not match the model config"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_params_are_an_ordinary_payload(self, tmp_path):
+        model = sample_model()
+        save_checkpoint(model, tmp_path / "ck")
+        manifest = read_manifest(tmp_path / "ck")
+        data = (tmp_path / "ck" / "params.bin").read_bytes()
+        assert set(manifest["payloads"]) == {"sites.bin", "params.bin"}
+        assert "params_sha256" not in manifest
+        size = sum(model.params[name].values.size for name in model.params.names())
+        assert manifest["payloads"]["params.bin"] == {
+            "shape": [size],
+            "dtype": "<f8",
+            "sha256": hashlib.sha256(data).hexdigest(),
+        }
+        assert data == b"".join(model.params[name].values.astype("<f8").tobytes() for name in model.params.names())
+
+    def test_checkpoint_of_the_former_layout_is_refused(self, tmp_path):
+        """A checkpoint whose parameters were checked by a manifest-level
+        params_sha256 rather than declared under payloads does not load."""
+        save_checkpoint(sample_model(), tmp_path / "ck")
+        blob = (tmp_path / "ck" / "params.bin").read_bytes()
+
+        def former(m):
+            del m["payloads"]["params.bin"]
+            extra = m.pop("extra")
+            m.update(params_sha256=hashlib.sha256(blob).hexdigest(), payloads=m.pop("payloads"), extra=extra)
+
+        patch_manifest(tmp_path / "ck", former)
+        with pytest.raises(DataError, match=r"^checkpoint manifest lacks payloads\[params\.bin\]$") as caught:
+            load_checkpoint(tmp_path / "ck")
+        assert caught.value.exit_code == 3
+
+    def test_nan_parameter_rejected(self, tmp_path):
+        # valid checksum over poisoned bytes, so only the finiteness guard fires
+        save_checkpoint(sample_model(), tmp_path / "ck")
+        values = np.frombuffer((tmp_path / "ck" / "params.bin").read_bytes(), dtype="<f8").copy()
+        values[3] = np.nan
+        data = values.tobytes()
+        (tmp_path / "ck" / "params.bin").write_bytes(data)
+        digest = hashlib.sha256(data).hexdigest()
+        patch_manifest(tmp_path / "ck", lambda m: m["payloads"]["params.bin"].update(sha256=digest))
+        with pytest.raises(DataError, match="payload params.bin contains non-finite values"):
             load_checkpoint(tmp_path / "ck")
 
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
@@ -412,9 +467,24 @@ class TestCheckpoint:
         (tmp_path / "ck" / "params.bin").write_bytes(blob)
         patch_manifest(
             tmp_path / "ck",
-            lambda m: m.update(params_sha256=hashlib.sha256(blob).hexdigest()),
+            lambda m: m["payloads"]["params.bin"].update(sha256=hashlib.sha256(blob).hexdigest()),
         )
-        with pytest.raises(TruncatedPayloadError, match="trailing"):
+        with pytest.raises(TruncatedPayloadError, match=f"payload params.bin: expected {len(blob) - 8} bytes"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_params_payload_must_hold_exactly_the_parameters(self, tmp_path):
+        """An extra value declared in the payload's own shape passes the byte
+        count and checksum, then fails against the parameter sizes."""
+        save_checkpoint(sample_model(), tmp_path / "ck")
+        blob = (tmp_path / "ck" / "params.bin").read_bytes() + b"\x00" * 8
+        (tmp_path / "ck" / "params.bin").write_bytes(blob)
+        size = len(blob) // 8 - 1
+
+        def grow(m):
+            m["payloads"]["params.bin"].update(shape=[size + 1], sha256=hashlib.sha256(blob).hexdigest())
+
+        patch_manifest(tmp_path / "ck", grow)
+        with pytest.raises(DataError, match=rf"params.bin has shape \({size + 1},\), the parameters need \({size},\)"):
             load_checkpoint(tmp_path / "ck")
 
 
