@@ -91,10 +91,7 @@ def _cmd_gen_data(args) -> int:
         fields["seed"] = args.seed
     with invalid_field("gen-data config", ConfigError):
         gen_config = ConvDiffConfig(**fields)
-    try:
-        dataset = generate_dataset(gen_config, tau=tau)
-    except MemoryError as exc:
-        raise ConfigError(f"gen-data config is too large to generate: {exc}") from exc
+    dataset = generate_dataset(gen_config, tau=tau)
     storage.save_dataset(dataset, _require_out(args))
     print(
         f"wrote {dataset.n_sequences} sequences x {dataset.sequence_length} steps "
@@ -381,20 +378,19 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UmtnError as exc:
-        detail = {"error": type(exc).__name__, "message": str(exc), "exit_code": exc.exit_code}
-        for attr in ("condition_estimate", "at_time"):
-            value = getattr(exc, attr, None)
-            if value is not None:
-                detail[attr] = value
-        print(json.dumps(detail), file=sys.stderr)
-        return exc.exit_code
-    except ValueError as exc:
-        print(
-            json.dumps({"error": "ValueError", "message": str(exc), "exit_code": 2}),
-            file=sys.stderr,
-        )
-        return 2
+    except MemoryError as exc:
+        error: Exception = ConfigError(f"{args.command} config is too large to generate in memory: {exc}")
+    except (UmtnError, ValueError) as exc:
+        error = exc
+    # A ValueError of any kind is a usage error.
+    name, code = (type(error).__name__, error.exit_code) if isinstance(error, UmtnError) else ("ValueError", 2)
+    detail = {"error": name, "message": str(error), "exit_code": code}
+    for attr in ("condition_estimate", "at_time"):
+        value = getattr(error, attr, None)
+        if value is not None:
+            detail[attr] = value
+    print(json.dumps(detail), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

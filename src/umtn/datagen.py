@@ -322,10 +322,13 @@ class SequenceDataset:
             )
         if not np.all(np.isfinite(sequences)):
             raise DataError("sequences contain non-finite values")
-        split = tuple(int(s) for s in split)
-        if len(split) != 3 or any(s < 0 for s in split) or sum(split) != sequences.shape[0]:
+        for count in split:
+            require_int("split", count, 0)
+        require_int("tau", tau, 1)
+        split = tuple(int(s) for s in split)  # plain ints, so the manifest can hold them
+        if len(split) != 3 or sum(split) != sequences.shape[0]:
             raise ValueError(f"split {split} does not partition {sequences.shape[0]} sequences")
-        if not (1 <= tau < sequences.shape[1]):
+        if tau >= sequences.shape[1]:
             raise ValueError(f"tau={tau} must lie in [1, sequence_length)")
         self.sites = sites
         self.sequences = sequences

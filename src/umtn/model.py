@@ -14,22 +14,27 @@ fuses the resulting per-site feature vectors over time with a shared GRU:
 * NAB: a small per-site MLP collapsing the feature columns back to one
   coefficient vector, enabling the next level.
 * RFN: a per-site GRU over the concatenated multilevel feature vectors,
-  followed by a linear readout of the next measurement.
+  followed by a linear readout of the next measurement.  Its weights are
+  stored gate-stacked, as `ad.gru_cell` reads them: `rfn.w` = [Wz | Wr | Wh],
+  `rfn.u_zr` = [Uz | Ur], `rfn.u_h` and `rfn.b` = [bz | br | bh], plus the
+  readout `rfn.wo`, `rfn.bo`.
 
 A rollout advances a batch of B sequences together: the coefficients of a
 step form an n x B block, and the per-site layers run on n B rows, row
 i B + b holding site i of sequence b.
 
-All learned tensors live in a ParameterStore; geometry (Phi, its scaled
-inverse, the ridge-fit matrix, and the pair inputs) is precomputed per site
-set and shared by every forward pass.
+All learned tensors live in a ParameterStore; a dense stack (spatial net,
+NAB, DRC aggregator) as the pairs `<prefix>.w<i>`, `<prefix>.b<i>`, one per
+layer of the widths its config gives.  Geometry (Phi, its scaled inverse, the
+ridge-fit matrix, and the pair inputs) is precomputed per site set and shared
+by every forward pass.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -72,6 +77,14 @@ class ModelConfig:
     @property
     def rfn_input_width(self) -> int:
         return self.feature_width * self.levels + 1
+
+    @property
+    def alpha_widths(self) -> list[int]:
+        return [self.s_input_width, *self.s_alpha_hidden, self.feature_width]
+
+    @property
+    def nab_widths(self) -> list[int]:
+        return [self.feature_width, self.nab_hidden, 1]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -122,36 +135,20 @@ def _register_mlp(store: ParameterStore, rng, prefix: str, widths: Sequence[int]
         store.register(f"{prefix}.b{i}", np.zeros(w_out))
 
 
-def _mlp_forward(store: ParameterStore, prefix: str, x: Tensor, n_layers: int) -> Tensor:
-    """ReLU-activated hidden layers, linear output layer, as one `ad.mlp` node."""
-    return ad.mlp(x, [(store[f"{prefix}.w{i}"], store[f"{prefix}.b{i}"]) for i in range(n_layers)])
+def _mlp_layers(store: ParameterStore, prefix: str, widths: Sequence[int]) -> list[tuple[Tensor, Tensor]]:
+    """The (w_i, b_i) pairs `_register_mlp` registered under `prefix` for `widths`."""
+    return [(store[f"{prefix}.w{i}"], store[f"{prefix}.b{i}"]) for i in range(len(widths) - 1)]
 
 
-def _stacked_operator(params: ParameterStore, prefix: str, geometry: SiteGeometry, width: int) -> Tensor:
+def _stacked_operator(params: ParameterStore, prefix: str, geometry: SiteGeometry, widths) -> Tensor:
     """The spatial net over every ordered site pair as one (n F) x n operator.
 
     Row i F + f, column j holds feature f of the pair (x_i, x_j), so one
     product with an n x B coefficient block transforms it by every S_f.
     """
-    n = geometry.n
-    out = _mlp_forward(params, prefix, Tensor(geometry.pair_inputs), 3)  # row i n + j
+    n, width = geometry.n, widths[-1]
+    out = ad.mlp(Tensor(geometry.pair_inputs), _mlp_layers(params, prefix, widths))  # row i n + j
     return ad.reshape(ad.permute(ad.reshape(out, (n, n, width)), (0, 2, 1)), (n * width, n))
-
-
-class RfnWeights(NamedTuple):
-    """GRU weights stacked gate-wise as `ad.gru_cell` takes them, plus the readout."""
-
-    w: Tensor  # [Wz | Wr | Wh]
-    u_zr: Tensor  # [Uz | Ur]
-    u_h: Tensor
-    b: Tensor  # [bz | br | bh]
-    wo: Tensor
-    bo: Tensor
-
-    @classmethod
-    def from_gates(cls, wz, uz, bz, wr, ur, br, wh, uh, bh, wo, bo) -> "RfnWeights":
-        """Stack per-gate tensors; gradients flow back to each of them."""
-        return cls(ad.concat([wz, wr, wh]), ad.concat([uz, ur]), uh, ad.concat([bz, br, bh]), wo, bo)
 
 
 def lstb_forward(operator, g_matrix, coeffs) -> Tensor:
@@ -172,21 +169,21 @@ def lstb_forward(operator, g_matrix, coeffs) -> Tensor:
     return ad.reshape(ad.permute(residual, (0, 2, 1)), (n * batch, width))
 
 
-def nab_forward(gamma: Sequence, features) -> Tensor:
-    """Per-site aggregation of an n x F feature block down to one column."""
-    w0, b0, w1, b1 = gamma
-    return ad.mlp(features, [(w0, b0), (w1, b1)])
+def nab_forward(layers: Sequence[tuple], features) -> Tensor:
+    """Per-site aggregation of an n x F feature block down to one column,
+    through the dense stack `layers` = [(w0, b0), (w1, b1), ...]."""
+    return ad.mlp(features, layers)
 
 
-def rfn_step(weights: RfnWeights, inputs, hidden) -> tuple[Tensor, Tensor]:
-    """One GRU update plus the linear readout.
+def rfn_step(params: ParameterStore, inputs, hidden) -> tuple[Tensor, Tensor]:
+    """One GRU update plus the linear readout, on the store's `rfn.*` weights.
 
     `inputs` is (rows, input_width) and `hidden` is (rows, hidden_width);
     weights are shared across the rows (sites), each of which carries its own
     hidden state.  Returns (prediction column, new hidden state).
     """
-    h_new = ad.gru_cell(inputs, hidden, weights.w, weights.u_zr, weights.u_h, weights.b)
-    prediction = ad.add(ad.matmul(h_new, weights.wo), weights.bo)
+    h_new = ad.gru_cell(inputs, hidden, params["rfn.w"], params["rfn.u_zr"], params["rfn.u_h"], params["rfn.b"])
+    prediction = ad.add(ad.matmul(h_new, params["rfn.wo"]), params["rfn.bo"])
     return prediction, h_new
 
 
@@ -305,37 +302,23 @@ class UmtnModel:
     def initialize_params(config: ModelConfig, seed: int) -> ParameterStore:
         rng = np.random.default_rng(seed)
         store = ParameterStore()
-        f = config.feature_width
-        h1, h2 = config.s_alpha_hidden
-        _register_mlp(store, rng, "alpha", [config.s_input_width, h1, h2, f])
+        _register_mlp(store, rng, "alpha", config.alpha_widths)
         for m in range(1, config.levels + 1):
-            _register_mlp(store, rng, f"nab{m}", [f, config.nab_hidden, 1])
-        w = config.rfn_input_width
-        hid = config.rfn_hidden
-        for gate in ("z", "r", "h"):
-            store.register(f"rfn.w{gate}", glorot_uniform(rng, w, hid))
-            store.register(f"rfn.u{gate}", glorot_uniform(rng, hid, hid))
-            store.register(f"rfn.b{gate}", np.zeros(hid))
+            _register_mlp(store, rng, f"nab{m}", config.nab_widths)
+        w, hid = config.rfn_input_width, config.rfn_hidden
+        # Drawn gate by gate (z, r, h), stored stacked as `ad.gru_cell` reads them.
+        ws, us = zip(*[(glorot_uniform(rng, w, hid), glorot_uniform(rng, hid, hid)) for _ in range(3)])
+        store.register("rfn.w", np.hstack(ws))
+        store.register("rfn.u_zr", np.hstack(us[:2]))
+        store.register("rfn.u_h", us[2])
+        store.register("rfn.b", np.zeros(3 * hid))
         store.register("rfn.wo", glorot_uniform(rng, hid, 1))
         store.register("rfn.bo", np.zeros(1))
         return store
 
-    def _rfn_weights(self) -> RfnWeights:
-        p = self.params
-        return RfnWeights.from_gates(
-            p["rfn.wz"], p["rfn.uz"], p["rfn.bz"],
-            p["rfn.wr"], p["rfn.ur"], p["rfn.br"],
-            p["rfn.wh"], p["rfn.uh"], p["rfn.bh"],
-            p["rfn.wo"], p["rfn.bo"],
-        )
-
-    def nab_weights(self, level: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        p = self.params
-        return (p[f"nab{level}.w0"], p[f"nab{level}.b0"], p[f"nab{level}.w1"], p[f"nab{level}.b1"])
-
     def spatial_feature_tensors(self) -> Tensor:
         """The stacked (n F) x n spatial operator, graph-linked to the shared net."""
-        return _stacked_operator(self.params, "alpha", self.geometry, self.config.feature_width)
+        return _stacked_operator(self.params, "alpha", self.geometry, self.config.alpha_widths)
 
     def multilevel_feature_tensor(self, c0, operator: Tensor) -> Tensor:
         """Concatenated multilevel features U = Phi [c0 | C_1 | ... | C_M].
@@ -354,7 +337,8 @@ class UmtnModel:
             block = lstb_forward(operator, g, c)
             cols.append(block)
             if level < self.config.levels:
-                c = ad.reshape(nab_forward(self.nab_weights(level), block), (n, batch))
+                layers = _mlp_layers(self.params, f"nab{level}", self.config.nab_widths)
+                c = ad.reshape(nab_forward(layers, block), (n, batch))
         stacked = cols[0] if len(cols) == 1 else ad.concat(cols)
         return _interpolate_rows(Tensor(self.geometry.phi), stacked, n)
 
@@ -388,12 +372,11 @@ class UmtnModel:
         with _recording(record):
             operator = operator if operator is not None else self.spatial_feature_tensors()
             fit = Tensor(self.geometry.fit)
-            weights = self._rfn_weights()
             hidden = Tensor(np.zeros((n * batch, self.config.rfn_hidden)))
             preds: list[Tensor] = []
             for t in range(inputs.steps):
                 c0 = ad.matmul(fit, inputs.frame(t, preds))
-                prediction, hidden = rfn_step(weights, self.multilevel_feature_tensor(c0, operator), hidden)
+                prediction, hidden = rfn_step(self.params, self.multilevel_feature_tensor(c0, operator), hidden)
                 preds.append(ad.reshape(prediction, (n, batch)))
             return inputs.result(preds, record)
 
@@ -416,15 +399,18 @@ class DrcConfig:
 
     spatial_dim: int = 2
     feature_width: int = 16
-    s_hidden: tuple[int, int] = (64, 32)
-    aggregator_hidden: tuple[int, int, int] = (128, 64, 32)
+    s_hidden: tuple[int, ...] = (64, 32)
+    aggregator_hidden: tuple[int, ...] = (128, 64, 32)
     past_frames: int = 2
 
     def __post_init__(self):
-        self.s_hidden = tuple(int(h) for h in self.s_hidden)
-        self.aggregator_hidden = tuple(int(h) for h in self.aggregator_hidden)
-        if self.past_frames < 1:
-            raise ConfigError("past_frames must be >= 1")
+        self.s_hidden = tuple(self.s_hidden)
+        self.aggregator_hidden = tuple(self.aggregator_hidden)
+        for name in ("spatial_dim", "feature_width", "past_frames"):
+            require_int(name, getattr(self, name), 1)
+        for name in ("s_hidden", "aggregator_hidden"):
+            for i, width in enumerate(getattr(self, name)):
+                require_int(f"{name}[{i}]", width, 1)
 
     @property
     def s_input_width(self) -> int:
@@ -433,6 +419,14 @@ class DrcConfig:
     @property
     def aggregator_input_width(self) -> int:
         return self.feature_width + self.past_frames
+
+    @property
+    def s_widths(self) -> list[int]:
+        return [self.s_input_width, *self.s_hidden, self.feature_width]
+
+    @property
+    def aggregator_widths(self) -> list[int]:
+        return [self.aggregator_input_width, *self.aggregator_hidden, 1]
 
 
 class DrcModel:
@@ -448,13 +442,13 @@ class DrcModel:
         geometry = SiteGeometry(kernel, sites, reg_lambda=reg_lambda)
         rng = np.random.default_rng(seed)
         store = ParameterStore()
-        _register_mlp(store, rng, "spatial", [config.s_input_width, *config.s_hidden, config.feature_width])
-        _register_mlp(store, rng, "agg", [config.aggregator_input_width, *config.aggregator_hidden, 1])
+        _register_mlp(store, rng, "spatial", config.s_widths)
+        _register_mlp(store, rng, "agg", config.aggregator_widths)
         return cls(config, geometry, store)
 
     def spatial_feature_tensors(self) -> Tensor:
         """The stacked (n F) x n spatial operator, graph-linked to the spatial net."""
-        return _stacked_operator(self.params, "spatial", self.geometry, self.config.feature_width)
+        return _stacked_operator(self.params, "spatial", self.geometry, self.config.s_widths)
 
     def forward(self, frames: Sequence, operator: Tensor) -> Tensor:
         """Next-step prediction from the most recent frames (current one last).
@@ -474,7 +468,7 @@ class DrcModel:
         values = _interpolate_rows(Tensor(geom.phi), block, n)
         recent = [ad.reshape(f, (n * batch, 1)) for f in reversed(frames[-p:])]
         x = ad.concat([values, *recent])
-        return ad.reshape(_mlp_forward(self.params, "agg", x, 4), (n, batch))
+        return ad.reshape(ad.mlp(x, _mlp_layers(self.params, "agg", self.config.aggregator_widths)), (n, batch))
 
     def rollout(
         self,

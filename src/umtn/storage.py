@@ -380,6 +380,8 @@ def load_json_config(path: Union[str, Path]) -> dict:
         return json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 

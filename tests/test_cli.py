@@ -684,6 +684,34 @@ def test_gen_data_too_large_to_allocate_exits_2(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["gen.json"]
 
 
+def test_solve_too_large_to_allocate_exits_2(tmp_path, capsys):
+    """10^12 steps over 3 sites ask for a 21.8 TiB trajectory: a ConfigError
+    (one JSON line, exit 2) raised when the allocation fails, before any
+    memory is touched, and no output file."""
+    save_json(TestSolve().solve_config(dt=1e-9, t_end=1000.0), tmp_path / "solve.json")
+    code, _, err = run(capsys, "solve", "--config", str(tmp_path / "solve.json"), "--out", str(tmp_path / "s.json"))
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    detail = stderr_json(err)
+    assert detail["error"] == "ConfigError"
+    assert "too large to generate" in detail["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["solve.json"]
+
+
+@pytest.mark.parametrize("argv", [["gen-data", "--config"], ["export-report", "--report"]], ids=lambda a: a[0])
+def test_config_path_that_cannot_be_read_exits_2(tmp_path, capsys, argv):
+    """A config or report path that is a directory is a ConfigError naming
+    the path (one JSON line, exit 2), not an IsADirectoryError traceback."""
+    (tmp_path / "config").mkdir()
+    code, _, err = run(capsys, *argv, str(tmp_path / "config"), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    detail = stderr_json(err)
+    assert detail["error"] == "ConfigError"
+    assert str(tmp_path / "config") in detail["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config"]
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

@@ -522,6 +522,17 @@ class TestSequenceDataset:
         with pytest.raises(ValueError):
             SequenceDataset(sites, np.zeros((4, 5, 3)), (2, 1, 2), tau=2)
 
+    @pytest.mark.parametrize(
+        "split, tau, message",
+        [((1.9, 1, 1), 2, "'split' must be an integer"), ((3, -1, 1), 2, "'split' must be at least 0"),
+         ((1, 1, 1), 2.0, "'tau' must be an integer"), ((1, 1, 1), 0, "'tau' must be at least 1")],
+    )
+    def test_split_and_tau_must_be_integers(self, split, tau, message):
+        """Counts are checked, not truncated: (1.9, 1, 1) once became (1, 1, 1)."""
+        sites = SiteSet(np.arange(3, dtype=float)[:, None])
+        with pytest.raises(ConfigError, match=message):
+            SequenceDataset(sites, np.zeros((3, 5, 3)), split, tau=tau)
+
     def test_tau_bounds_checked(self):
         sites = SiteSet(np.arange(3, dtype=float)[:, None])
         with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from umtn.model import (
     DrcConfig,
     DrcModel,
     ModelConfig,
-    RfnWeights,
     SiteGeometry,
     UmtnModel,
     glorot_uniform,
@@ -191,11 +190,8 @@ class TestLstb:
 
 class TestNab:
     def test_zero_weights_emit_bias(self):
-        w0 = Tensor(np.zeros((4, 6)))
-        b0 = Tensor(np.zeros(6))
-        w1 = Tensor(np.zeros((6, 1)))
-        b1 = Tensor(np.array([0.3]))
-        out = nab_forward((w0, b0, w1, b1), np.ones((5, 4)))
+        layers = [(Tensor(np.zeros((4, 6))), Tensor(np.zeros(6))), (Tensor(np.zeros((6, 1))), Tensor([0.3]))]
+        out = nab_forward(layers, np.ones((5, 4)))
         assert_allclose(out.values, np.full((5, 1), 0.3))
 
     def test_row_oracle(self):
@@ -203,7 +199,7 @@ class TestNab:
         w0, b0 = rng.normal(size=(4, 6)), rng.normal(size=6)
         w1, b1 = rng.normal(size=(6, 1)), rng.normal(size=1)
         x = rng.normal(size=(5, 4))
-        out = nab_forward((Tensor(w0), Tensor(b0), Tensor(w1), Tensor(b1)), x)
+        out = nab_forward([(Tensor(w0), Tensor(b0)), (Tensor(w1), Tensor(b1))], x)
         expected = np.maximum(x @ w0 + b0, 0.0) @ w1 + b1
         assert_allclose(out.values, expected, rtol=1e-12)
 
@@ -218,8 +214,21 @@ def random_gates(rng, input_width, hidden):
     return [Tensor(rng.normal(scale=0.5, size=s)) for s in gate_shapes(input_width, hidden)]
 
 
+def rfn_store(gates):
+    """A store holding per-gate weights in the stacked `rfn.*` layout the model registers."""
+    wz, uz, bz, wr, ur, br, wh, uh, bh, wo, bo = (g.values for g in gates)
+    store = ParameterStore()
+    store.register("rfn.w", np.hstack([wz, wr, wh]))
+    store.register("rfn.u_zr", np.hstack([uz, ur]))
+    store.register("rfn.u_h", uh)
+    store.register("rfn.b", np.concatenate([bz, br, bh]))
+    store.register("rfn.wo", wo)
+    store.register("rfn.bo", bo)
+    return store
+
+
 def zero_rfn(input_width, hidden):
-    return RfnWeights.from_gates(*(Tensor(np.zeros(s)) for s in gate_shapes(input_width, hidden)))
+    return rfn_store([Tensor(np.zeros(s)) for s in gate_shapes(input_width, hidden)])
 
 
 def numpy_gru(gates, x, h):
@@ -254,14 +263,14 @@ class TestRfnStep:
         gates = random_gates(rng, 3, 4)
         x = rng.normal(size=(5, 3))
         h = rng.normal(size=(5, 4))
-        prediction, h_new = rfn_step(RfnWeights.from_gates(*gates), x, h)
+        prediction, h_new = rfn_step(rfn_store(gates), x, h)
         ref_pred, ref_h = numpy_gru(gates, x, h)
         assert_allclose(prediction.values, ref_pred, rtol=1e-10)
         assert_allclose(h_new.values, ref_h, rtol=1e-10)
 
     def test_rows_evolve_independently(self):
         rng = np.random.default_rng(10)
-        weights = RfnWeights.from_gates(*random_gates(rng, 2, 3))
+        weights = rfn_store(random_gates(rng, 2, 3))
         x = rng.normal(size=(4, 2))
         h = rng.normal(size=(4, 3))
         _, full = rfn_step(weights, x, h)
@@ -386,6 +395,32 @@ class TestParameterBookkeeping:
         assert any(
             not np.array_equal(a.params[n].values, c.params[n].values) for n in a.params.names()
         )
+
+    def test_stacked_gru_weights_are_the_per_gate_draws(self):
+        """The stacked initial GRU weights are the glorot draws taken gate by
+        gate in z, r, h order (W then U per gate) after the spatial net and
+        the aggregators, with the readout drawn last and zero biases."""
+        config = ModelConfig(levels=2, feature_width=3, s_alpha_hidden=(5, 4), nab_hidden=2, rfn_hidden=6)
+        params = UmtnModel.initialize_params(config, seed=7)
+        rng = np.random.default_rng(7)
+        earlier = ParameterStore()  # the draws taken before the GRU's
+        model_module._register_mlp(earlier, rng, "alpha", config.alpha_widths)
+        for m in (1, 2):
+            model_module._register_mlp(earlier, rng, f"nab{m}", config.nab_widths)
+        d, hid = config.rfn_input_width, config.rfn_hidden
+        w, u = {}, {}
+        for gate in "zrh":
+            w[gate] = glorot_uniform(rng, d, hid)
+            u[gate] = glorot_uniform(rng, hid, hid)
+        wo = glorot_uniform(rng, hid, 1)
+        assert np.array_equal(params["rfn.w"].values, np.hstack([w["z"], w["r"], w["h"]]))
+        assert np.array_equal(params["rfn.u_zr"].values, np.hstack([u["z"], u["r"]]))
+        assert np.array_equal(params["rfn.u_h"].values, u["h"])
+        assert np.array_equal(params["rfn.b"].values, np.zeros(3 * hid))
+        assert np.array_equal(params["rfn.wo"].values, wo)
+        assert [name for name in params.names() if name.startswith("rfn.")] == [
+            "rfn.w", "rfn.u_zr", "rfn.u_h", "rfn.b", "rfn.wo", "rfn.bo"
+        ]
 
 
 class TestRollout:
@@ -565,6 +600,34 @@ class TestDrcModel:
     def test_invalid_past_frames(self):
         with pytest.raises(ConfigError):
             DrcConfig(past_frames=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("s_hidden", (2.7, 3.9)),
+            ("aggregator_hidden", (8, 0)),
+            ("aggregator_hidden", (8, True)),
+            ("past_frames", 1.5),
+            ("feature_width", 4.0),
+            ("spatial_dim", 0),
+        ],
+    )
+    def test_every_width_must_be_a_positive_integer(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            DrcConfig(**{field: value})
+
+    def test_stacks_of_any_depth_roll_out(self):
+        """The dense stacks have as many layers as the config's widths give."""
+        config = DrcConfig(feature_width=4, s_hidden=(16,), aggregator_hidden=(16, 8))
+        model = DrcModel.build(config, MQ, site_set(4), seed=5)
+        assert model.params.names() == [
+            "spatial.w0", "spatial.b0", "spatial.w1", "spatial.b1",
+            "agg.w0", "agg.b0", "agg.w1", "agg.b1", "agg.w2", "agg.b2",
+        ]
+        observed = np.random.default_rng(28).normal(size=(2, 3, 4))
+        result = model.rollout(observed, horizon=3)
+        assert result.all_values.shape == (2, 5, 4)
+        assert np.all(np.isfinite(result.all_values[:, 1:]))
 
     def test_zeroed_network_emits_final_bias(self):
         model = DrcModel.build(DrcConfig(), MQ, site_set(4), seed=0)

@@ -51,7 +51,7 @@ def sample_model(seed=3):
     # glorot leaves every bias zero; fill them so the round trip moves real data
     rng = np.random.default_rng(seed + 1)
     for name in model.params.names():
-        if name.endswith(("b1", "b2", "b3", "bz", "br", "bh", "bo")):
+        if name.endswith(("b1", "b2", "b3", "rfn.b", "bo")):
             model.params[name].values[:] = rng.normal(size=model.params[name].values.shape)
     return model
 
@@ -318,6 +318,16 @@ class TestDatasetCorruption:
         with pytest.raises(DataError, match="non-finite"):
             load_dataset(saved)
 
+    @pytest.mark.parametrize(
+        "field, value", [("split", [1.9, 1, 1]), ("split", [2, 1.0, 1]), ("tau", 2.0), ("tau", 0)]
+    )
+    def test_split_and_tau_must_be_integers(self, saved, field, value):
+        """An edited count is refused, not truncated: [1.9, 1, 1] once loaded as (1, 1, 1)."""
+        patch_manifest(saved, lambda m: m.update({field: value}))
+        with pytest.raises(DataError, match=f"'{field}' must be") as caught:
+            load_dataset(saved)
+        assert caught.value.exit_code == 3
+
     def test_manifest_shape_disagreement(self, saved):
         patch_manifest(saved, lambda m: m.update(n_sites=7))
         with pytest.raises(DataError, match="disagree"):
@@ -389,8 +399,8 @@ class TestCheckpoint:
             m["model_config"]["levels"] += 1
 
         patch_manifest(tmp_path / "ck", bump)
-        # The stored rfn.wz sits where the two-level config expects nab2.w0.
-        with pytest.raises(DataError, match=r"parameter 'rfn\.wz' does not match the model config.*'nab2\.w0'"):
+        # The stored rfn.w sits where the two-level config expects nab2.w0.
+        with pytest.raises(DataError, match=r"parameter 'rfn\.w' does not match the model config.*'nab2\.w0'"):
             load_checkpoint(tmp_path / "ck")
 
     def test_parameter_shape_mismatch_names_the_parameter(self, tmp_path):
@@ -432,6 +442,32 @@ class TestCheckpoint:
 
         patch_manifest(tmp_path / "ck", former)
         with pytest.raises(DataError, match=r"^checkpoint manifest lacks payloads\[params\.bin\]$") as caught:
+            load_checkpoint(tmp_path / "ck")
+        assert caught.value.exit_code == 3
+
+    def test_checkpoint_of_per_gate_gru_weights_is_refused(self, tmp_path):
+        """A checkpoint that stores the GRU gate by gate (rfn.wz, rfn.uz,
+        rfn.bz, ...), with a consistent params.bin, does not load."""
+        model = sample_model()
+        save_checkpoint(model, tmp_path / "ck")
+        values = {name: t.values for name, t in model.params.items()}
+        hid = values["rfn.u_h"].shape[0]
+        per_gate = {name: v for name, v in values.items() if not name.startswith("rfn.")}
+        u = np.hstack([values["rfn.u_zr"], values["rfn.u_h"]])
+        for k, gate in enumerate("zrh"):
+            block = slice(k * hid, (k + 1) * hid)
+            per_gate.update({f"rfn.w{gate}": values["rfn.w"][:, block], f"rfn.u{gate}": u[:, block]})
+            per_gate[f"rfn.b{gate}"] = values["rfn.b"][block]
+        per_gate.update({"rfn.wo": values["rfn.wo"], "rfn.bo": values["rfn.bo"]})
+        data = np.concatenate([v.ravel() for v in per_gate.values()]).astype("<f8").tobytes()
+        (tmp_path / "ck" / "params.bin").write_bytes(data)
+
+        def former(m):
+            m["parameters"] = [{"name": name, "shape": list(v.shape)} for name, v in per_gate.items()]
+            m["payloads"]["params.bin"].update(sha256=hashlib.sha256(data).hexdigest())
+
+        patch_manifest(tmp_path / "ck", former)
+        with pytest.raises(DataError, match=r"parameter 'rfn\.wz' does not match the model config") as caught:
             load_checkpoint(tmp_path / "ck")
         assert caught.value.exit_code == 3
 
