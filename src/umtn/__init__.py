@@ -26,7 +26,7 @@ from .interpolation import (
 )
 from .collocation import CollocationStepper, operator_matrix, solve_ivp
 from .datagen import ConvDiffConfig, SequenceDataset, generate_dataset
-from .autodiff import ParameterStore, Tensor, adam_step, backward, gradient_check, no_grad
+from .autodiff import ParameterStore, Tensor, adam_step, backward, no_grad
 from .model import (
     DrcConfig,
     DrcModel,
@@ -69,7 +69,6 @@ __all__ = [
     "no_grad",
     "backward",
     "adam_step",
-    "gradient_check",
     "ModelConfig",
     "SiteGeometry",
     "UmtnModel",

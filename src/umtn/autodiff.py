@@ -5,20 +5,26 @@ requires_grad set, and `backward` walks it once in reverse topological order.
 Everything runs in double precision so finite-difference checks can be tight.
 Recording is confined to one logical training thread; tensors without graph
 links are immutable in practice and safe to share.
+
+The fused nodes `gru_cell` and `mlp` work in cache-sized row blocks, keep only
+what their backward reads, and keep only their output when no graph is
+recorded; `matmul` lets the walk form a shared left operand's gradient in one
+GEMM.  Their docstrings give the details.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericalError
-
 _grad_enabled = True
+
+# Working-set budget of one row block of a fused node, in values of its widest
+# intermediate: 170 GRU rows at 64 hidden units (3 x 64 gate pre-activations),
+# 512 spatial-net rows at 64 hidden units.
+ROW_BLOCK_VALUES = 32_768
 
 
 @contextmanager
@@ -60,9 +66,14 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _records(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an operation on `parents` records a graph node."""
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _record(values: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(values)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward_fn = backward_fn
@@ -118,15 +129,22 @@ def multiply(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """a @ b for 2-D operands.
+
+    The left operand's gradient g @ b.T goes to the walk as the factor pair
+    (g, b).  On reaching the operand, the walk sums all its uses in one GEMM,
+    [g_1 | g_2 | ...] @ [b_1 | b_2 | ...].T; the stacked spatial operator has
+    one use per level and step.  A constant operand (Phi, G, the fit matrix)
+    gets no gradient product.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    # A constant operand (Phi, G, the fit matrix) gets no gradient product.
     return _record(
         a.values @ b.values,
         (a, b),
         lambda g: (
-            g @ b.values.T if a.requires_grad else None,
+            (g, b.values) if a.requires_grad else None,
             a.values.T @ g if b.requires_grad else None,
         ),
     )
@@ -181,6 +199,11 @@ def sum(x) -> Tensor:  # noqa: A001 - numpy-style name, accessed as autodiff.sum
     )
 
 
+def _block_rows(rows: int, width: int) -> int:
+    """Rows per block: about ROW_BLOCK_VALUES values at `width` values a row."""
+    return max(1, min(rows, ROW_BLOCK_VALUES // max(1, width)))
+
+
 def gru_cell(x, h, w, u_zr, u_h, b) -> Tensor:
     """One GRU update on the rows of `x` (N, D) and `h` (N, H), as one node.
 
@@ -190,8 +213,15 @@ def gru_cell(x, h, w, u_zr, u_h, b) -> Tensor:
     and a = tanh(x Wh + (r * h) Uh + bh) the new state is h + z * (a - h).
     The input side is one GEMM for all three gates and the state side one for
     z and r, plus the (r * h) Uh product (Appleyard et al., arXiv:1604.01946).
+
+    The rows go in blocks of about ROW_BLOCK_VALUES values of the 3H-wide
+    input side, forward and backward, so a block's gates stay in cache.  A
+    recorded node keeps x, h, [z | r] and a; its backward recomputes r * h and
+    a - h per block and adds the weight gradients up over the blocks.  With no
+    graph to record, the node keeps only the new state, and every block reuses
+    one set of work arrays.
     """
-    x, h, w, u_zr, u_h, b = (_as_tensor(t) for t in (x, h, w, u_zr, u_h, b))
+    x, h, w, u_zr, u_h, b = parents = tuple(_as_tensor(t) for t in (x, h, w, u_zr, u_h, b))
     hid = h.shape[-1] if h.values.ndim else 0
     if (
         x.values.ndim != 2
@@ -204,64 +234,82 @@ def gru_cell(x, h, w, u_zr, u_h, b) -> Tensor:
             f"gru_cell: shapes x {x.shape}, h {h.shape}, w {w.shape}, u_zr {u_zr.shape}, "
             f"u_h {u_h.shape}, b {b.shape} do not fit together"
         )
-    xw = x.values @ w.values
-    xw += b.values
-    zr = h.values @ u_zr.values
-    zr += xw[:, : 2 * hid]
-    with np.errstate(over="ignore"):  # exp(-v) = inf gives sigmoid(v) = 0 exactly
-        np.exp(np.negative(zr, out=zr), out=zr)
-    zr += 1.0
-    np.reciprocal(zr, out=zr)
-    z, r = zr[:, :hid], zr[:, hid:]
-    rh = r * h.values
-    cand = rh @ u_h.values
-    cand += xw[:, 2 * hid :]
-    np.tanh(cand, out=cand)
-    step = cand - h.values
-    h_new = z * step
-    h_new += h.values
+    rows = x.shape[0]
+    step = _block_rows(rows, 3 * hid)
+    keep = _records(parents)
+    xw, rh = np.empty((step, 3 * hid)), np.empty((step, hid))
+    zr, cand = np.empty((rows if keep else step, 2 * hid)), np.empty((rows if keep else step, hid))
+    h_new = np.empty((rows, hid))
+    for lo in range(0, rows, step):
+        block = slice(lo, lo + step)
+        xs, hs = x.values[block], h.values[block]
+        kept = block if keep else slice(0, len(xs))
+        xw_b = np.matmul(xs, w.values, out=xw[: len(xs)])
+        xw_b += b.values
+        zr_b = np.matmul(hs, u_zr.values, out=zr[kept])
+        zr_b += xw_b[:, : 2 * hid]
+        with np.errstate(over="ignore"):  # exp(-v) = inf gives sigmoid(v) = 0 exactly
+            np.exp(np.negative(zr_b, out=zr_b), out=zr_b)
+        zr_b += 1.0
+        np.reciprocal(zr_b, out=zr_b)
+        cand_b = np.matmul(np.multiply(zr_b[:, hid:], hs, out=rh[: len(xs)]), u_h.values, out=cand[kept])
+        cand_b += xw_b[:, 2 * hid :]
+        np.tanh(cand_b, out=cand_b)
+        h_b = np.subtract(cand_b, hs, out=h_new[block])
+        h_b *= zr_b[:, :hid]
+        h_b += hs
 
     def backward(g):
-        d_a = g * z
-        d_a *= 1.0 - cand * cand
-        d_rh = d_a @ u_h.values.T
-        d_zr = np.empty_like(zr)
-        np.multiply(g, step, out=d_zr[:, :hid])
-        np.multiply(d_rh, h.values, out=d_zr[:, hid:])
-        d_zr *= zr
-        d_zr *= 1.0 - zr
-        d_h = d_x = d_w = None
-        if h.requires_grad:
-            d_h = d_zr @ u_zr.values.T
-            d_h += g
-            d_h -= g * z
-            d_h += d_rh * r
-        if x.requires_grad:
-            d_x = d_zr @ w.values[:, : 2 * hid].T
-            d_x += d_a @ w.values[:, 2 * hid :].T
-        if w.requires_grad:
-            d_w = np.concatenate([x.values.T @ d_zr, x.values.T @ d_a], axis=1)
-        return (
-            d_x,
-            d_h,
-            d_w,
-            h.values.T @ d_zr if u_zr.requires_grad else None,
-            rh.T @ d_a if u_h.requires_grad else None,
-            np.concatenate([d_zr.sum(axis=0), d_a.sum(axis=0)]) if b.requires_grad else None,
-        )
+        d_x = np.empty_like(x.values) if x.requires_grad else None
+        d_h = np.empty_like(h.values) if h.requires_grad else None
+        d_w, d_u_zr, d_u_h, d_b = (np.zeros(t.shape) if t.requires_grad else None for t in (w, u_zr, u_h, b))
+        d_pre = np.empty((step, 3 * hid))  # [d_zr | d_a], by the gates' pre-activations
+        for lo in range(0, rows, step):
+            block = slice(lo, lo + step)
+            xs, hs, g_b, zr_b, a = x.values[block], h.values[block], g[block], zr[block], cand[block]
+            z, r = zr_b[:, :hid], zr_b[:, hid:]
+            d_pre_b = d_pre[: len(xs)]
+            d_zr, d_a = d_pre_b[:, : 2 * hid], d_pre_b[:, 2 * hid :]
+            np.multiply(g_b, z, out=d_a)
+            d_a *= 1.0 - a * a
+            d_rh = d_a @ u_h.values.T
+            np.multiply(g_b, a - hs, out=d_zr[:, :hid])
+            np.multiply(d_rh, hs, out=d_zr[:, hid:])
+            d_zr *= zr_b
+            d_zr *= 1.0 - zr_b
+            if d_h is not None:
+                d_h_b = np.matmul(d_zr, u_zr.values.T, out=d_h[block])
+                d_h_b += g_b
+                d_h_b -= g_b * z
+                d_h_b += d_rh * r
+            if d_x is not None:
+                np.matmul(d_pre_b, w.values.T, out=d_x[block])
+            if d_w is not None:
+                d_w += xs.T @ d_pre_b
+            if d_u_zr is not None:
+                d_u_zr += hs.T @ d_zr
+            if d_u_h is not None:
+                d_u_h += (r * hs).T @ d_a
+            if d_b is not None:
+                d_b += d_pre_b.sum(axis=0)
+        return d_x, d_h, d_w, d_u_zr, d_u_h, d_b
 
-    return _record(h_new, (x, h, w, u_zr, u_h, b), backward)
+    return _record(h_new, parents, backward)
 
 
 def mlp(x, layers: Sequence[tuple]) -> Tensor:
     """A dense stack on the rows of `x` (N, D), as one node.
 
     `layers` is [(w0, b0), (w1, b1), ...] with w_i (D_i, D_{i+1}) and b_i
-    (D_{i+1},); every layer but the last is followed by a ReLU.  Each layer
-    adds its bias (and applies its ReLU) in place on the fresh matmul output,
-    and the node keeps only the layer inputs: `x` and the post-ReLU blocks.
-    The backward reads each ReLU mask off the post-ReLU values, which are
-    positive exactly where their pre-activations were.
+    (D_{i+1},); every layer but the last is followed by a ReLU.  The rows go
+    in blocks of about ROW_BLOCK_VALUES values of the widest layer, forward
+    and backward; each layer adds its bias (and applies its ReLU) in place on
+    the block's fresh matmul output.  A recorded node keeps only the layer
+    inputs, `x` and the post-ReLU blocks; its backward reads each ReLU mask
+    off the post-ReLU values, which are positive exactly where their
+    pre-activations were, and adds the weight gradients up over the blocks.
+    With no graph to record, the node keeps only its output, and every block
+    reuses one set of hidden-layer work arrays.
     """
     x = _as_tensor(x)
     layers = [(_as_tensor(w), _as_tensor(b)) for w, b in layers]
@@ -275,25 +323,44 @@ def mlp(x, layers: Sequence[tuple]) -> Tensor:
                 "do not fit together"
             )
         width = w.shape[1]
-    inputs = [x.values]  # inputs[i] feeds layer i
-    for i, (w, b) in enumerate(layers):
-        out = inputs[-1] @ w.values
-        out += b.values
-        if i < len(layers) - 1:
-            inputs.append(np.maximum(out, 0.0, out=out))
+    parents = (x, *(t for pair in layers for t in pair))
+    rows, widths = x.shape[0], [w.shape[1] for w, _ in layers]
+    step = _block_rows(rows, max(x.shape[1], *widths))
+    keep = _records(parents)
+    hidden = [np.empty((rows if keep else step, cols)) for cols in widths[:-1]]  # post-ReLU
+    out = np.empty((rows, widths[-1]))
+    for lo in range(0, rows, step):
+        block = slice(lo, lo + step)
+        layer_in = x.values[block]
+        kept = block if keep else slice(0, len(layer_in))
+        for i, (w, b) in enumerate(layers):
+            last = i == len(hidden)
+            layer_in = np.matmul(layer_in, w.values, out=out[block] if last else hidden[i][kept])
+            layer_in += b.values
+            if not last:
+                np.maximum(layer_in, 0.0, out=layer_in)
 
     def backward(g):
-        grads = []  # d_w0, d_b0, d_w1, d_b1, ...
-        for i in reversed(range(len(layers))):
-            w, b = layers[i]
-            d_w = inputs[i].T @ g if w.requires_grad else None
-            grads[:0] = [d_w, g.sum(axis=0) if b.requires_grad else None]
-            if i:
-                g = g @ w.values.T  # fresh, so the mask may be applied in place
-                np.multiply(g, inputs[i] > 0.0, out=g)
-        return (g @ layers[0][0].values.T if x.requires_grad else None, *grads)
+        grads = [np.zeros(t.shape) if t.requires_grad else None for t in parents[1:]]  # d_w0, d_b0, ...
+        d_x = np.empty_like(x.values) if x.requires_grad else None
+        for lo in range(0, rows, step):
+            block = slice(lo, lo + step)
+            g_b = g[block]
+            for i in reversed(range(len(layers))):
+                layer_in = hidden[i - 1][block] if i else x.values[block]
+                d_w, d_b = grads[2 * i : 2 * i + 2]
+                if d_w is not None:
+                    d_w += layer_in.T @ g_b
+                if d_b is not None:
+                    d_b += g_b.sum(axis=0)
+                if i:
+                    g_b = g_b @ layers[i][0].values.T  # fresh, so the mask may be applied in place
+                    np.multiply(g_b, layer_in > 0.0, out=g_b)
+            if d_x is not None:
+                np.matmul(g_b, layers[0][0].values.T, out=d_x[block])
+        return (d_x, *grads)
 
-    return _record(out, (x, *(t for pair in layers for t in pair)), backward)
+    return _record(out, parents, backward)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -324,7 +391,8 @@ def backward(loss: Tensor, store: "ParameterStore | None" = None) -> None:
     on, its `grad`, `_parents` and `_backward_fn` are dropped, so activations
     are freed while the walk proceeds.  Leaves (parameters and other tensors
     created with requires_grad) keep their `.grad`.  A second `backward`
-    through a consumed graph raises RuntimeError.
+    through a consumed graph raises RuntimeError.  A matmul's factor pairs
+    wait until the walk reaches their left operand (see `matmul`).
 
     When a ParameterStore is given, parameters the loss does not reach get an
     explicit zero gradient so optimizer steps see a complete set.
@@ -333,8 +401,13 @@ def backward(loss: Tensor, store: "ParameterStore | None" = None) -> None:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     order = _topo_order(loss)
     loss.grad = np.ones_like(loss.values)
+    pairs: dict[int, list] = {}  # matmul factor pairs (g, b), by id of their left operand
     while order:
         node = order.pop()
+        waiting = pairs.pop(id(node), None)
+        if waiting:  # all the node's uses as a left operand, in one GEMM
+            g, b = waiting[0] if len(waiting) == 1 else map(np.hstack, zip(*waiting))
+            node.grad = g @ b.T if node.grad is None else node.grad + g @ b.T
         if node._backward_fn is None:
             continue
         if node.grad is not None:
@@ -342,9 +415,12 @@ def backward(loss: Tensor, store: "ParameterStore | None" = None) -> None:
             for parent, contribution in zip(node._parents, contributions):
                 if not parent.requires_grad or contribution is None:
                     continue
-                # A contribution may alias the node's gradient or a sibling's, so
-                # gradients are replaced, never updated in place.
-                parent.grad = contribution if parent.grad is None else parent.grad + contribution
+                if isinstance(contribution, tuple):
+                    pairs.setdefault(id(parent), []).append(contribution)
+                else:
+                    # A contribution may alias the node's gradient or a sibling's, so
+                    # gradients are replaced, never updated in place.
+                    parent.grad = contribution if parent.grad is None else parent.grad + contribution
         node.grad = node._parents = node._backward_fn = None
     if store is not None:
         for tensor in store.tensors():
@@ -428,83 +504,3 @@ def adam_step(
         v_hat = slot.v / (1.0 - beta2**slot.step)
         tensor.values = tensor.values - lr * m_hat / (np.sqrt(v_hat) + eps)
         tensor.grad = None
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    worst_param: str | None
-    worst_index: int | None
-    n_checked: int
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error < self.tol
-
-
-def gradient_check(
-    function: Callable[[ParameterStore], Tensor],
-    store: ParameterStore,
-    tol: float,
-    fd_step: float = 1e-6,
-    sample: int | None = None,
-    seed: int = 0,
-) -> GradCheckReport:
-    """Compare reverse-mode gradients against central finite differences.
-
-    `function` must be deterministic in the parameters.  With `sample` set,
-    only a seeded random subset of that many components is checked (spread
-    over all parameters); otherwise the check is exhaustive.  Relative errors
-    use an absolute floor of 1e-8.
-
-    A coordinate whose difference quotient at `fd_step` disagrees is retried
-    at 10x and 100x the step and the best agreement kept: cancellation noise
-    in the quotient shrinks with a larger step, while a wrong gradient stays
-    wrong at every step.
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    store.zero_grads()
-    loss = function(store)
-    if loss.values.size != 1 or not np.isfinite(loss.values):
-        raise NumericalError("gradient_check: function did not produce a finite scalar")
-    backward(loss, store)
-    analytic = {name: t.grad.copy() for name, t in store.items()}
-    store.zero_grads()
-
-    entries = [(name, idx) for name, t in store.items() for idx in range(t.values.size)]
-    if sample is not None and sample < len(entries):
-        rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(entries), size=sample, replace=False)
-        entries = [entries[i] for i in chosen]
-
-    def evaluate() -> float:
-        with no_grad():
-            value = function(store).values
-        if not np.all(np.isfinite(value)):
-            raise NumericalError("gradient_check: function produced non-finite values")
-        return float(value)
-
-    def quotient(flat, idx: int, step: float) -> float:
-        original = flat[idx]
-        flat[idx] = original + step
-        f_plus = evaluate()
-        flat[idx] = original - step
-        f_minus = evaluate()
-        flat[idx] = original
-        return (f_plus - f_minus) / (2.0 * step)
-
-    worst = (0.0, None, None)
-    for name, idx in entries:
-        flat = store[name].values.reshape(-1)
-        an = analytic[name].reshape(-1)[idx]
-        rel = math.inf
-        for step in (fd_step, 10.0 * fd_step, 100.0 * fd_step):
-            fd = quotient(flat, idx, step)
-            rel = min(rel, abs(fd - an) / max(1e-8, abs(fd), abs(an)))
-            if rel <= tol:
-                break
-        if rel > worst[0]:
-            worst = (rel, name, idx)
-    return GradCheckReport(worst[0], worst[1], worst[2], len(entries), tol)

@@ -23,9 +23,11 @@ from .errors import ConfigError
 from .model import UmtnModel, require_same_sites
 
 
-# Rows (sites x sequences) of one forecast block.  A block's rollout holds a
-# few dozen arrays of rows x 64 at once (GRU state and gates, level
-# features); 4096 rows are 22 sequences at 180 sites and 64 at 64 sites.
+# Rows (sites x sequences) of one forecast block.  A block's graph-free
+# rollout holds the GRU state (rows x 64) and a few arrays of level features
+# (rows x 8 per level) at once; the GRU's gates and the NAB's hidden layer take
+# one row block of autodiff.ROW_BLOCK_VALUES values each, whatever the row
+# count.  4096 rows are 22 sequences at 180 sites and 64 at 64 sites.
 FORECAST_ROWS = 4096
 
 

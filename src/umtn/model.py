@@ -41,7 +41,7 @@ import numpy as np
 from . import autodiff as ad
 from . import interpolation
 from .autodiff import ParameterStore, Tensor
-from .errors import ConfigError, DataError, require_int
+from .errors import DataError, require_int
 from .interpolation import SiteSet, scaled_inverse
 from .kernels import RadialKernel
 
@@ -56,14 +56,12 @@ class ModelConfig:
     levels: int
     spatial_dim: int = 2
     feature_width: int = 8
-    s_alpha_hidden: tuple[int, int] = (64, 32)
+    s_alpha_hidden: tuple[int, ...] = (64, 32)
     nab_hidden: int = 32
     rfn_hidden: int = 64
 
     def __post_init__(self):
         self.s_alpha_hidden = tuple(self.s_alpha_hidden)
-        if len(self.s_alpha_hidden) != 2:
-            raise ConfigError("s_alpha_hidden must hold the two hidden layer sizes of the spatial net")
         require_int("levels", self.levels, 0)
         for name in ("spatial_dim", "feature_width", "nab_hidden", "rfn_hidden"):
             require_int(name, getattr(self, name), 1)

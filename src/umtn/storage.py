@@ -377,11 +377,14 @@ def ingest_csv(
 
 def load_json_config(path: Union[str, Path]) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except OSError as exc:
         raise ConfigError(f"config file {path} cannot be read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ConfigError(f"{path} is not UTF-8 text: byte {byte:#04x} at offset {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from activations import relu, sigmoid, tanh
+from gradcheck import gradient_check
 from umtn import autodiff as ad
-from umtn.autodiff import ParameterStore, Tensor, gradient_check
+from umtn.autodiff import ParameterStore, Tensor
 from umtn.collocation import CollocationStepper, operator_matrix, solve_ivp
 from umtn.datagen import ConvDiffConfig, _initial_field, _mode_bases, _simulate_batch, generate_dataset
 from umtn.evaluation import evaluate_model, mae, persistence_baseline

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from activations import relu, sigmoid, tanh
+from gradcheck import gradient_check
 from umtn import autodiff as ad
-from umtn.autodiff import ParameterStore, Tensor, adam_step, backward, gradient_check, no_grad
+from umtn.autodiff import ParameterStore, Tensor, adam_step, backward, no_grad
 from umtn.errors import NumericalError
 
 
@@ -340,6 +343,182 @@ class TestMlp:
                 assert_allclose(got, expected, rtol=1e-12, atol=0)
             else:
                 assert got is None and expected is None
+
+
+def relative_gap(got, expected):
+    return np.abs(got - expected).max() / np.abs(expected).max()
+
+
+class TestRowBlocks:
+    """37 rows in blocks of 10 (10, 10, 10 and a ragged 7) against one block."""
+
+    ROWS, BLOCK = 37, 10
+
+    @staticmethod
+    def blocked(monkeypatch, widest, rows_per_block):
+        monkeypatch.setattr(ad, "ROW_BLOCK_VALUES", widest * rows_per_block)
+
+    def gru_store(self):
+        return TestGruCell().store(rows=self.ROWS, width=3, hidden=4, seed=60)
+
+    def gru_run(self, monkeypatch, rows_per_block, record=True):
+        """Output and operand gradients of the fused GRU under a weighted sum."""
+        self.blocked(monkeypatch, 3 * 4, rows_per_block)
+        store = self.gru_store()
+        weight = Tensor(np.random.default_rng(61).normal(size=(self.ROWS, 4)))
+        if not record:
+            with no_grad():
+                return TestGruCell.fused(store).values, None
+        out = TestGruCell.fused(store)
+        backward(ad.sum(ad.multiply(out, weight)), store)
+        return out.values, {name: store[name].grad for name in TestGruCell.NAMES}
+
+    def test_block_rows(self, monkeypatch):
+        self.blocked(monkeypatch, 12, self.BLOCK)
+        assert ad._block_rows(self.ROWS, 12) == self.BLOCK
+        assert ad._block_rows(self.ROWS, 10**6) == 1
+        assert ad._block_rows(3, 12) == 3
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_gru_forward_is_bitwise_one_block(self, monkeypatch, record):
+        blocked, _ = self.gru_run(monkeypatch, self.BLOCK, record)
+        whole, _ = self.gru_run(monkeypatch, self.ROWS, record)
+        assert np.array_equal(blocked, whole)
+        v = {name: t.values for name, t in self.gru_store().items()}
+        z = 1.0 / (1.0 + np.exp(-(v["x"] @ v["wz"] + v["h"] @ v["uz"] + v["bz"])))
+        r = 1.0 / (1.0 + np.exp(-(v["x"] @ v["wr"] + v["h"] @ v["ur"] + v["br"])))
+        cand = np.tanh(v["x"] @ v["wh"] + (r * v["h"]) @ v["uh"] + v["bh"])
+        assert_allclose(blocked, (1.0 - z) * v["h"] + z * cand, rtol=0, atol=1e-12)
+
+    def test_gru_gradients_match_one_block_and_the_composite(self, monkeypatch):
+        _, blocked = self.gru_run(monkeypatch, self.BLOCK)
+        _, whole = self.gru_run(monkeypatch, self.ROWS)
+        store = self.gru_store()
+        weight = Tensor(np.random.default_rng(61).normal(size=(self.ROWS, 4)))
+        composite = composite_gru(*(store[name] for name in TestGruCell.NAMES))
+        backward(ad.sum(ad.multiply(composite, weight)), store)
+        for name in TestGruCell.NAMES:
+            assert relative_gap(blocked[name], whole[name]) < 1e-12, name
+            assert relative_gap(blocked[name], store[name].grad) < 1e-12, name
+
+    def test_gru_gradient_check_across_blocks(self, monkeypatch):
+        self.blocked(monkeypatch, 12, self.BLOCK)
+        weight = Tensor(np.random.default_rng(62).normal(size=(self.ROWS, 4)))
+        report = gradient_check(lambda s: ad.sum(ad.multiply(TestGruCell.fused(s), weight)), self.gru_store(), tol=1e-5)
+        assert report.passed, f"worst {report.worst_param}[{report.worst_index}]: {report.max_rel_error:.2e}"
+
+    WIDTHS = (5, 6, 4, 3)
+
+    def mlp_run(self, monkeypatch, rows_per_block, trainable):
+        self.blocked(monkeypatch, max(self.WIDTHS), rows_per_block)
+        arrays, weight = TestMlp.operands(self.ROWS, self.WIDTHS, seed=63)
+        return mlp_gradients(ad.mlp, arrays, trainable, weight)
+
+    def test_mlp_forward_is_bitwise_one_block(self, monkeypatch):
+        arrays, _ = TestMlp.operands(self.ROWS, self.WIDTHS, seed=63)
+        layers = list(zip(arrays[1::2], arrays[2::2]))
+        outputs = []
+        for rows_per_block in (self.BLOCK, self.ROWS):
+            self.blocked(monkeypatch, max(self.WIDTHS), rows_per_block)
+            outputs.append(ad.mlp(arrays[0], layers).values)
+            outputs.append(ad.mlp(Tensor(arrays[0], requires_grad=True), layers).values)
+        assert all(np.array_equal(out, outputs[0]) for out in outputs)
+
+    def test_mlp_gradients_match_one_block_and_the_unfused_chain(self, monkeypatch):
+        trainable = [True] * (1 + 2 * (len(self.WIDTHS) - 1))
+        _, blocked = self.mlp_run(monkeypatch, self.BLOCK, trainable)
+        _, whole = self.mlp_run(monkeypatch, self.ROWS, trainable)
+        arrays, weight = TestMlp.operands(self.ROWS, self.WIDTHS, seed=63)
+        _, chain = mlp_gradients(unfused_mlp, arrays, trainable, weight)
+        for got, one_block, expected in zip(blocked, whole, chain):
+            assert relative_gap(got, one_block) < 1e-12
+            assert relative_gap(got, expected) < 1e-12
+
+    def test_mlp_gradient_check_across_blocks(self, monkeypatch):
+        self.blocked(monkeypatch, max(self.WIDTHS), self.BLOCK)
+        arrays, weight = TestMlp.operands(self.ROWS, self.WIDTHS, seed=64)
+        store = ParameterStore()
+        for i, values in enumerate(arrays):
+            store.register(f"p{i}", values)
+
+        def loss(s):
+            layers = [(s[f"p{i}"], s[f"p{i + 1}"]) for i in range(1, len(arrays), 2)]
+            return ad.sum(ad.multiply(ad.mlp(s["p0"], layers), Tensor(weight)))
+
+        report = gradient_check(loss, store, tol=1e-5)
+        assert report.passed, f"worst {report.worst_param}[{report.worst_index}]: {report.max_rel_error:.2e}"
+
+    @staticmethod
+    def gru_weights(rng, width, hid):
+        shapes = ((width, 3 * hid), (hid, 2 * hid), (hid, hid), (3 * hid,))
+        return [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+
+    def test_graph_free_gru_holds_its_output_and_one_block(self):
+        """4096 rows at 64 hidden units: the unblocked node held 9 arrays of
+        rows x 64 (19 MB); now the output plus the xw, zr, r * h and candidate
+        work arrays of one block, under a bound of two."""
+        rows, width, hid = 4096, 17, 64
+        rng = np.random.default_rng(65)
+        x, h = rng.normal(size=(rows, width)), rng.normal(size=(rows, hid))
+        weights = self.gru_weights(rng, width, hid)
+        block_rows = ad._block_rows(rows, 3 * hid)
+        work = 8 * block_rows * (3 + 2 + 1 + 1) * hid
+        with no_grad():
+            ad.gru_cell(x[:8], h[:8], *weights)  # first-call allocations
+            tracemalloc.start()
+            try:
+                out = ad.gru_cell(x, h, *weights)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert block_rows < rows
+        assert peak <= out.values.nbytes + 2 * work
+
+    def test_recorded_gru_keeps_gates_and_candidate_only(self):
+        """Beside its output, a recorded node holds [z | r] and the candidate."""
+        rows, width, hid = 4096, 17, 64
+        rng = np.random.default_rng(66)
+        x, h = rng.normal(size=(rows, width)), rng.normal(size=(rows, hid))
+        weights = self.gru_weights(rng, width, hid)
+        tracemalloc.start()
+        try:
+            out = ad.gru_cell(x, h, *weights)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held <= 1.05 * 8 * rows * (1 + 2 + 1) * hid
+
+
+class TestSharedLeftOperand:
+    """A matmul's left-operand gradient is formed once per operand, from all its uses."""
+
+    def test_leaf_left_of_three_products(self):
+        rng = np.random.default_rng(70)
+        a = leaf(rng.normal(size=(6, 5)))
+        rights = [rng.normal(size=(5, k)) for k in (1, 3, 4)]
+        weights = [rng.normal(size=(6, k)) for k in (1, 3, 4)]
+        loss = ad.sum(ad.concat([ad.multiply(ad.matmul(a, b), Tensor(w)) for b, w in zip(rights, weights)]))
+        backward(loss)
+        expected = sum(w @ b.T for b, w in zip(rights, weights))
+        assert relative_gap(a.grad, expected) < 1e-14
+        with pytest.raises(RuntimeError, match="consumed"):
+            backward(loss)
+
+    def test_non_leaf_left_of_two_products_and_an_add(self):
+        rng = np.random.default_rng(71)
+        x = leaf(rng.normal(size=(3, 8)))
+        a = ad.reshape(x, (6, 4))
+        b1, b2 = rng.normal(size=(4, 2)), rng.normal(size=(4, 5))
+        w1, w2, w3 = rng.normal(size=(6, 2)), rng.normal(size=(6, 5)), rng.normal(size=(6, 4))
+        terms = [ad.matmul(a, b1), ad.matmul(a, b2), a]
+        loss = ad.sum(ad.concat([ad.multiply(t, Tensor(w)) for t, w in zip(terms, (w1, w2, w3))]))
+        backward(loss)
+        expected = (w1 @ b1.T + w2 @ b2.T + w3).reshape(3, 8)
+        assert relative_gap(x.grad, expected) < 1e-14
+        assert a.grad is None  # the walk consumed the intermediate
+        with pytest.raises(RuntimeError, match="consumed"):
+            backward(loss)
 
 
 def random_composite(seed):

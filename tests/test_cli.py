@@ -712,6 +712,21 @@ def test_config_path_that_cannot_be_read_exits_2(tmp_path, capsys, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config"]
 
 
+@pytest.mark.parametrize("argv", [["gen-data", "--config"], ["export-report", "--report"]], ids=lambda a: a[0])
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys, argv):
+    """A config or report file that is not UTF-8 (here a UTF-16 byte-order
+    mark) is a ConfigError naming the path, not a bare codec error."""
+    (tmp_path / "config.json").write_bytes(b"\xff\xfe{")
+    code, _, err = run(capsys, *argv, str(tmp_path / "config.json"), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    detail = stderr_json(err)
+    assert detail["error"] == "ConfigError"
+    assert str(tmp_path / "config.json") in detail["message"]
+    assert "not UTF-8" in detail["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -356,6 +357,24 @@ class TestCheckpoint:
         a = model.rollout(observed, horizon=3).predictions
         b = loaded.rollout(observed, horizon=3).predictions
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("hidden", [(16,), (16, 8, 4)], ids=["1-hidden", "3-hidden"])
+    def test_spatial_net_of_any_depth_round_trips(self, tmp_path, hidden):
+        """`s_alpha_hidden` may hold any number of layers: the model builds,
+        rolls out, and comes back from a checkpoint with the same predictions."""
+        config = dataclasses.replace(TINY, s_alpha_hidden=hidden)
+        sites = SiteSet(np.random.default_rng(5).uniform(0.0, 2.0, (5, 2)))
+        model = UmtnModel.build(config, MQ, sites, seed=5, reg_lambda=1e-8)
+        assert [name for name in model.params.names() if name.startswith("alpha.w")] == [
+            f"alpha.w{i}" for i in range(len(hidden) + 1)
+        ]
+        observed = np.random.default_rng(6).normal(size=(2, 3, 5))
+        predictions = model.rollout(observed, horizon=3).predictions
+        assert np.all(np.isfinite(predictions))
+        save_checkpoint(model, tmp_path / "ck")
+        loaded = load_checkpoint(tmp_path / "ck")
+        assert loaded.config.s_alpha_hidden == hidden
+        assert np.array_equal(loaded.rollout(observed, horizon=3).predictions, predictions)
 
     def test_extra_metadata(self, tmp_path):
         extra = {"epochs": 12, "val_mae": 0.25, "history": [1.0, 0.5]}

@@ -20,8 +20,7 @@ PERFBENCH = REPO / "perfbench"
 # Defined but not reached from the package or the benchmark, on purpose.
 KEPT = {
     "ingest_csv": "documented entry point for real site and measurement tables",
-    "gradient_check": "public finite-difference check of the autodiff engine",
-    "passed": "GradCheckReport.passed, the verdict callers of gradient_check read",
+    "zero_grads": "ParameterStore API for callers that run backward without an Adam step",
     "DrcModel": "the paper's DRC baseline, kept to be compared against",
     "DrcConfig": "sizing of the DRC baseline; only DrcModel, itself kept, names it",
     "__init__": "constructor protocol",
