@@ -6,10 +6,9 @@ Everything runs in double precision so finite-difference checks can be tight.
 Recording is confined to one logical training thread; tensors without graph
 links are immutable in practice and safe to share.
 
-The fused nodes `gru_cell` and `mlp` work in cache-sized row blocks, keep only
-what their backward reads, and keep only their output when no graph is
-recorded; `matmul` lets the walk form a shared left operand's gradient in one
-GEMM.  Their docstrings give the details.
+The fused nodes `gru_cell` (gates kept, clamped off exp's underflow path) and
+`mlp` (hidden layers recomputed in backward) work in cache-sized row blocks;
+`matmul` lets the walk form a shared left operand's gradient in one GEMM.
 """
 
 from __future__ import annotations
@@ -216,10 +215,10 @@ def gru_cell(x, h, w, u_zr, u_h, b) -> Tensor:
 
     The rows go in blocks of about ROW_BLOCK_VALUES values of the 3H-wide
     input side, forward and backward, so a block's gates stay in cache.  A
-    recorded node keeps x, h, [z | r] and a; its backward recomputes r * h and
-    a - h per block and adds the weight gradients up over the blocks.  With no
-    graph to record, the node keeps only the new state, and every block reuses
-    one set of work arrays.
+    recorded node keeps x, h, [z | r] and a, and its backward recomputes r * h
+    and a - h per block; with no graph, the node keeps only the new state.
+    The z and r pre-activations are clamped at 40, where sigmoid is 1 already,
+    which keeps exp off its slow underflow path.
     """
     x, h, w, u_zr, u_h, b = parents = tuple(_as_tensor(t) for t in (x, h, w, u_zr, u_h, b))
     hid = h.shape[-1] if h.values.ndim else 0
@@ -248,6 +247,7 @@ def gru_cell(x, h, w, u_zr, u_h, b) -> Tensor:
         xw_b += b.values
         zr_b = np.matmul(hs, u_zr.values, out=zr[kept])
         zr_b += xw_b[:, : 2 * hid]
+        np.minimum(zr_b, 40.0, out=zr_b)  # sigmoid(v > 40) is 1 exactly; keeps NaN
         with np.errstate(over="ignore"):  # exp(-v) = inf gives sigmoid(v) = 0 exactly
             np.exp(np.negative(zr_b, out=zr_b), out=zr_b)
         zr_b += 1.0
@@ -303,13 +303,11 @@ def mlp(x, layers: Sequence[tuple]) -> Tensor:
     `layers` is [(w0, b0), (w1, b1), ...] with w_i (D_i, D_{i+1}) and b_i
     (D_{i+1},); every layer but the last is followed by a ReLU.  The rows go
     in blocks of about ROW_BLOCK_VALUES values of the widest layer, forward
-    and backward; each layer adds its bias (and applies its ReLU) in place on
-    the block's fresh matmul output.  A recorded node keeps only the layer
-    inputs, `x` and the post-ReLU blocks; its backward reads each ReLU mask
-    off the post-ReLU values, which are positive exactly where their
-    pre-activations were, and adds the weight gradients up over the blocks.
-    With no graph to record, the node keeps only its output, and every block
-    reuses one set of hidden-layer work arrays.
+    and backward, through one set of hidden-layer work arrays per pass.  A
+    recorded node keeps `x`, its weights and its output: its backward
+    recomputes each block's hidden layers with the forward's numpy calls, bit
+    for bit (Chen et al., arXiv:1604.06174), reads each ReLU mask off the
+    post-ReLU values and adds the weight gradients up over the blocks.
     """
     x = _as_tensor(x)
     layers = [(_as_tensor(w), _as_tensor(b)) for w, b in layers]
@@ -326,36 +324,36 @@ def mlp(x, layers: Sequence[tuple]) -> Tensor:
     parents = (x, *(t for pair in layers for t in pair))
     rows, widths = x.shape[0], [w.shape[1] for w, _ in layers]
     step = _block_rows(rows, max(x.shape[1], *widths))
-    keep = _records(parents)
-    hidden = [np.empty((rows if keep else step, cols)) for cols in widths[:-1]]  # post-ReLU
+
+    def blocks():  # each row block's slice and layer inputs: x, then the post-ReLU hidden layers
+        work = [np.empty((step, cols)) for cols in widths[:-1]]
+        for lo in range(0, rows, step):
+            ins = [x.values[lo : lo + step]]
+            for (w, b), buf in zip(layers, work):
+                h = np.matmul(ins[-1], w.values, out=buf[: len(ins[0])])
+                h += b.values  # in place on the fresh matmul output, as is the ReLU
+                ins.append(np.maximum(h, 0.0, out=h))
+            yield slice(lo, lo + step), ins
+
     out = np.empty((rows, widths[-1]))
-    for lo in range(0, rows, step):
-        block = slice(lo, lo + step)
-        layer_in = x.values[block]
-        kept = block if keep else slice(0, len(layer_in))
-        for i, (w, b) in enumerate(layers):
-            last = i == len(hidden)
-            layer_in = np.matmul(layer_in, w.values, out=out[block] if last else hidden[i][kept])
-            layer_in += b.values
-            if not last:
-                np.maximum(layer_in, 0.0, out=layer_in)
+    for block, ins in blocks():
+        out_b = np.matmul(ins[-1], layers[-1][0].values, out=out[block])
+        out_b += layers[-1][1].values
 
     def backward(g):
         grads = [np.zeros(t.shape) if t.requires_grad else None for t in parents[1:]]  # d_w0, d_b0, ...
         d_x = np.empty_like(x.values) if x.requires_grad else None
-        for lo in range(0, rows, step):
-            block = slice(lo, lo + step)
+        for block, ins in blocks():
             g_b = g[block]
             for i in reversed(range(len(layers))):
-                layer_in = hidden[i - 1][block] if i else x.values[block]
                 d_w, d_b = grads[2 * i : 2 * i + 2]
                 if d_w is not None:
-                    d_w += layer_in.T @ g_b
+                    d_w += ins[i].T @ g_b
                 if d_b is not None:
                     d_b += g_b.sum(axis=0)
                 if i:
                     g_b = g_b @ layers[i][0].values.T  # fresh, so the mask may be applied in place
-                    np.multiply(g_b, layer_in > 0.0, out=g_b)
+                    np.multiply(g_b, ins[i] > 0.0, out=g_b)
             if d_x is not None:
                 np.matmul(g_b, layers[0][0].values.T, out=d_x[block])
         return (d_x, *grads)

@@ -57,10 +57,10 @@ def _min_substeps(dt_out: float, h: float) -> int:
     An explicit step on grid spacing h is stable for dt < h^2 / (4 * MAX_DIFFUSION);
     floor(dt_out / bound) + 1 is the least n with dt_out / n below it.
     """
-    bound = h * h / (4.0 * MAX_DIFFUSION)
-    if bound == 0.0:
-        raise ConfigError(f"'grid_size' gives a grid spacing of {h:.3e}, too fine for any stable step")
-    return math.floor(dt_out / bound) + 1
+    ratio = dt_out / (h * h / (4.0 * MAX_DIFFUSION))
+    if not math.isfinite(ratio):
+        raise ConfigError(f"'dt_out'={dt_out} needs more substeps than can be counted on this grid")
+    return math.floor(ratio) + 1
 
 
 @dataclass
@@ -85,6 +85,8 @@ class ConvDiffConfig:
     def __post_init__(self):
         # Field types and ranges first: every later check does arithmetic on them.
         require_int("grid_size", self.grid_size, 2)
+        if self.grid_size**2 > np.iinfo(np.intp).max:
+            raise ConfigError(f"'grid_size'={self.grid_size:.3g} has more grid points than can be indexed")
         require_int("n_sites", self.n_sites, 1)
         require_int("n_sequences", self.n_sequences, 1)
         require_int("seed", self.seed, 0)
@@ -97,8 +99,8 @@ class ConvDiffConfig:
         for count in self.split:
             require_int("split", count, 1)
         n_out = self.t_end / self.dt_out
-        if abs(n_out - round(n_out)) > 1e-9 * max(n_out, 1.0):
-            raise ConfigError(f"t_end={self.t_end} is not an integer multiple of dt_out={self.dt_out}")
+        if not (math.isfinite(n_out) and n_out >= 0.5) or abs(n_out - round(n_out)) > 1e-9 * max(n_out, 1.0):
+            raise ConfigError(f"'t_end'={self.t_end} is not a positive integer multiple of 'dt_out'={self.dt_out}")
         minimum = _min_substeps(self.dt_out, self.grid_spacing)
         if self.substeps_per_output is None:
             self.substeps_per_output = minimum

@@ -9,11 +9,15 @@ runs when UMTN_FULL_SCALE=1 is set.
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import umtn
 from activations import relu, sigmoid, tanh
 from gradcheck import gradient_check
 from umtn import autodiff as ad
@@ -293,6 +297,49 @@ def test_seeded_runs_reproduce_bitwise():
     assert histories[0] == histories[1]
     assert reports[0] == reports[1]
     print("PASS determinism: identical seeds give bitwise-equal datasets, histories, and reports")
+
+
+# Trains one seeded 180-site, 2-level model and saves its parameters to argv[1].
+TRAIN_180_SITES = """
+import sys
+import numpy as np
+from umtn.datagen import ConvDiffConfig, generate_dataset
+from umtn.kernels import KernelFamily, RadialKernel
+from umtn.model import ModelConfig, UmtnModel
+from umtn.training import TrainConfig, train_loop
+config = ConvDiffConfig(grid_size=16, t_end=0.1, n_sites=180, n_sequences=8, split=(4, 2, 2), seed=4)
+dataset = generate_dataset(config, tau=3)
+model = UmtnModel.build(ModelConfig(levels=2), RadialKernel(KernelFamily.MULTIQUADRIC, 0.5), dataset.sites, seed=4)
+train_loop(model, dataset, TrainConfig(tau=3, horizon=dataset.horizon, lr=0.01, max_epochs=1, batch_size=4, seed=4))
+np.savez(sys.argv[1], **model.params.snapshot())
+"""
+
+
+def test_seeded_training_agrees_across_blas_thread_counts(tmp_path):
+    """Seeded runs repeat bit for bit at a fixed BLAS thread count; across
+    thread counts BLAS may sum in another order, so 1 and 2 threads agree
+    only to rounding.  One batch of Adam keeps that near rounding here;
+    longer trainings let it grow (README.md).  The two trainings run side by
+    side in fresh interpreters, since numpy reads the thread count at load."""
+    src = str(Path(umtn.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.update({name: threads for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+        out = tmp_path / f"threads{threads}.npz"
+        runs[out] = subprocess.Popen([sys.executable, "-c", TRAIN_180_SITES, str(out)], env=env, stderr=subprocess.PIPE)
+    try:
+        for process in runs.values():
+            _, err = process.communicate(timeout=120)
+            assert process.returncode == 0, err.decode()
+    finally:
+        for process in runs.values():
+            process.kill()
+    one, two = (np.load(out) for out in runs)
+    assert sorted(one.files) == sorted(two.files)
+    gaps = {name: np.abs(one[name] - two[name]).max() / (np.abs(one[name]).max() or 1.0) for name in one.files}
+    assert max(gaps.values()) <= 1e-9, gaps
+    print(f"PASS thread counts: 1 and 2 BLAS threads agree within {max(gaps.values()):.1e} of each parameter's largest entry")
 
 
 def test_mae_exact_values():

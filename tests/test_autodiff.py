@@ -258,6 +258,38 @@ class TestGruCell:
             ad.gru_cell(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((3, 12)), np.zeros((4, 8)),
                         np.zeros((4, 4)), np.zeros(11))
 
+    def test_saturated_gates_stay_off_the_underflow_path(self):
+        """Gate pre-activations of +-50, +-745, +-1e5 and a NaN.  exp(-v)
+        underflows for v above 745, on numpy's slow path; the node clamps v at
+        40, where sigmoid is 1 already, so nothing underflows and the new
+        state equals the plain formula bit for bit, NaN included."""
+        hid, rows = 8, 3
+        rng = np.random.default_rng(43)
+        z_pre = [50.0, -50.0, 745.0, -745.0, 1e5, -1e5, np.nan, 0.0]
+        r_pre = [50.0, -50.0, 745.0, -745.0, 1e5, -1e5, 0.0, 3.0]
+        # x is a column of ones and b is zero, so x w + b is the row of w exactly.
+        w = np.concatenate([z_pre, r_pre, rng.normal(size=hid)])[None, :]
+        x, h, u_h = np.ones((rows, 1)), rng.normal(size=(rows, hid)), rng.normal(size=(hid, hid))
+        store = ParameterStore()
+        for name, values in (("x", x), ("h", h), ("w", w), ("u_zr", np.zeros((hid, 2 * hid))), ("u_h", u_h),
+                             ("b", np.zeros(3 * hid))):
+            store.register(name, values)
+        with np.errstate(under="raise"):
+            out = ad.gru_cell(*store.tensors())
+            backward(ad.sum(out), store)
+        with np.errstate(over="ignore", under="ignore"):
+            z, r = (1.0 / (1.0 + np.exp(-np.array(pre))) for pre in (z_pre, r_pre))
+        cand = np.tanh((r * h) @ u_h + w[0, 2 * hid :])
+        assert np.array_equal(out.values, h + z * (cand - h), equal_nan=True)
+        assert np.isnan(out.values[:, 6]).all() and np.isfinite(np.delete(out.values, 6, axis=1)).all()
+        fused = {name: t.grad for name, t in store.items()}
+        store.zero_grads()
+        wz, wr, wh = np.split(w, 3, axis=1)
+        u = np.zeros((hid, hid))
+        backward(ad.sum(composite_gru(store["x"], store["h"], wz, u, 0.0, wr, u, 0.0, wh, store["u_h"], 0.0)))
+        for name in ("x", "h", "u_h"):
+            assert_allclose(fused[name], store[name].grad, rtol=1e-12, atol=1e-300, err_msg=name)
+
 
 def unfused_mlp(x, layers):
     """The dense stack of `ad.mlp` spelled out in matmul, add and relu nodes."""
@@ -447,6 +479,63 @@ class TestRowBlocks:
 
         report = gradient_check(loss, store, tol=1e-5)
         assert report.passed, f"worst {report.worst_param}[{report.worst_index}]: {report.max_rel_error:.2e}"
+
+    def test_mlp_recompute_over_a_ragged_block_is_exact(self, monkeypatch):
+        """Small-integer operands make every sum exact whatever its order, so
+        the gradients through hidden layers recomputed block by block (the
+        last block 7 rows in work arrays of 10) equal one block's, and the
+        unfused chain's, bit for bit."""
+        rng = np.random.default_rng(69)
+        arrays, weight = TestMlp.operands(self.ROWS, self.WIDTHS, seed=69)
+        arrays = [rng.integers(-3, 4, size=a.shape).astype(float) for a in arrays]
+        weight = rng.integers(-3, 4, size=weight.shape).astype(float)
+        trainable = [True] * len(arrays)
+        runs = []
+        for rows_per_block in (self.BLOCK, self.ROWS):
+            self.blocked(monkeypatch, max(self.WIDTHS), rows_per_block)
+            runs.append(mlp_gradients(ad.mlp, arrays, trainable, weight))
+        runs.append(mlp_gradients(unfused_mlp, arrays, trainable, weight))
+        for out, grads in runs[1:]:
+            assert np.array_equal(out, runs[0][0])
+            assert all(np.array_equal(got, expected) for got, expected in zip(runs[0][1], grads))
+
+    @staticmethod
+    def spatial_net(rng, record):
+        """The spatial net's shape: 180 x 180 site pairs through 5-64-32-8."""
+        widths = (5, 64, 32, 8)
+        layers = [(Tensor(glorot, requires_grad=record), Tensor(np.zeros(cols), requires_grad=record))
+                  for glorot, cols in ((rng.normal(size=(a, b)) / np.sqrt(a), b) for a, b in zip(widths, widths[1:]))]
+        return rng.normal(size=(180 * 180, widths[0])), layers
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_mlp_peaks_at_its_output_and_one_block(self, record):
+        """Recorded or not, the forward holds its output plus one block of
+        hidden-layer work arrays, under a bound of two."""
+        x, layers = self.spatial_net(np.random.default_rng(67), record)
+        block_rows = ad._block_rows(len(x), 64)
+        work = 8 * block_rows * (64 + 32)
+        ad.mlp(x[:8], layers)  # first-call allocations
+        tracemalloc.start()
+        try:
+            out = ad.mlp(x, layers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad == record and block_rows < len(x)
+        assert peak <= out.values.nbytes + 2 * work
+
+    def test_recorded_mlp_keeps_its_output_only(self):
+        """A recorded node recomputes its hidden layers in backward instead of
+        keeping them (24.9 MB here, beside a 2.1 MB output)."""
+        x, layers = self.spatial_net(np.random.default_rng(68), record=True)
+        tracemalloc.start()
+        try:
+            out = ad.mlp(x, layers)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held <= 1.05 * out.values.nbytes
 
     @staticmethod
     def gru_weights(rng, width, hid):

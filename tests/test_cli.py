@@ -647,6 +647,12 @@ def train_config(**sections):
         ("train", "seed", train_config(train={"seed": 1.5})),
         ("train", "seed", train_config(train={"seed": -1})),
         ("predict", "sequence", {"sequence": 1.9}),
+        # Output counts that overflow or round to zero, and a grid too large to index.
+        ("gen-data", "t_end", {**GEN_CONFIG, "t_end": 1e308}),
+        ("gen-data", "dt_out", {**GEN_CONFIG, "dt_out": 1e308}),
+        ("gen-data", "dt_out", {**GEN_CONFIG, "dt_out": 1e30}),
+        ("gen-data", "dt_out", {**GEN_CONFIG, "dt_out": 1e308, "t_end": 1e308, "substeps_per_output": None}),
+        ("gen-data", "grid_size", {**GEN_CONFIG, "grid_size": 10**30}),
     ],
     ids=lambda value: value if isinstance(value, str) else None,
 )

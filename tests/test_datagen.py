@@ -278,11 +278,29 @@ class TestConfigValidation:
             ("seed", -1),
             ("seed", 1.5),
             ("split", (1.5, 1, 1)),
+            # t_end / dt_out overflows to inf, or rounds to 0 output steps.
+            ("t_end", 1e308),
+            ("dt_out", 1e308),
+            ("dt_out", 1e30),
+            # More grid points than a numpy index holds.
+            ("grid_size", 10**30),
+            ("grid_size", 3_037_000_500),
         ],
     )
     def test_bad_field_rejected_naming_it(self, field, value):
         with pytest.raises(ConfigError, match=repr(field)):
             small_config(**{field: value})
+
+    def test_uncountable_substeps_rejected(self):
+        """dt_out = t_end = 1e308 is one output step that would need infinitely
+        many stable substeps.  An explicit `substeps_per_output` of 10**30 is
+        a valid config that would simply never finish, so it is not rejected."""
+        with pytest.raises(ConfigError, match="'dt_out'"):
+            small_config(dt_out=1e308, t_end=1e308, substeps_per_output=None)
+        assert small_config(substeps_per_output=10**30).substeps_per_output == 10**30
+
+    def test_largest_indexable_grid_accepted(self):
+        assert small_config(grid_size=3_037_000_499, substeps_per_output=None).grid_size == 3_037_000_499
 
     def test_too_many_sites_rejected(self):
         with pytest.raises(ConfigError, match="exceeds"):
