@@ -137,9 +137,14 @@ def _constant_operator(spec: dict) -> LinearOperatorSpec:
 
 
 def _boundary(spec: Optional[dict]) -> tuple[list, float]:
-    """Dirichlet site indices and their constant value from {"indices", "value"}."""
+    """Dirichlet site indices and their finite constant value from {"indices", "value"}."""
     spec = spec or {}
-    return [int(i) for i in spec.get("indices", [])], float(spec.get("value", 0.0))
+    indices, value = list(spec.get("indices", [])), float(spec.get("value", 0.0))
+    for i, index in enumerate(indices):
+        require_int(f"boundary indices[{i}]", index, 0)
+    if not np.isfinite(value):
+        raise ValueError(f"boundary value must be finite, got {value}")
+    return indices, value
 
 
 def _cmd_solve(args) -> int:

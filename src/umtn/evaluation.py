@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import no_grad
 from .datagen import SequenceDataset
 from .errors import ConfigError
-from .model import UmtnModel, require_same_sites
+from .model import DrcModel, UmtnModel, require_same_sites
 
 
 # Rows (sites x sequences) of one forecast block.  A block's graph-free
@@ -31,7 +31,7 @@ from .model import UmtnModel, require_same_sites
 FORECAST_ROWS = 4096
 
 
-def forecast(model: UmtnModel, observed: np.ndarray, horizon: int) -> np.ndarray:
+def forecast(model: Union[UmtnModel, DrcModel], observed: np.ndarray, horizon: int) -> np.ndarray:
     """Closed-loop (teacher_prob = 0) forecasts of (N, tau, n) observed frames.
 
     The sequences are rolled out in blocks of max(1, FORECAST_ROWS // n),
@@ -119,7 +119,7 @@ def _aggregate(abs_errors: np.ndarray, tau: int, horizon: int, split: str) -> Ev
 
 
 def evaluate_model(
-    models: Union[UmtnModel, Sequence[UmtnModel]],
+    models: Union[UmtnModel, DrcModel, Sequence[Union[UmtnModel, DrcModel]]],
     dataset: SequenceDataset,
     split: str = "test",
 ) -> EvalReport:
@@ -129,7 +129,7 @@ def evaluate_model(
     are averaged into one MAE per model, then aggregated across models.
     Parameters are never modified.
     """
-    if isinstance(models, UmtnModel):
+    if isinstance(models, (UmtnModel, DrcModel)):
         models = [models]
     if not models:
         raise ValueError("need at least one model")

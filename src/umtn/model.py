@@ -476,16 +476,17 @@ class DrcModel:
         teacher_prob: float = 0.0,
         rng: Optional[np.random.Generator] = None,
         record: bool = False,
+        operator: Optional[Tensor] = None,
     ) -> RolloutResult:
-        """Closed-loop multi-step prediction with the same inputs and input
-        policy as the recurrent model; predictions start once `past_frames`
-        inputs exist."""
+        """Closed-loop multi-step prediction with the same inputs, input
+        policy and `operator` argument as the recurrent model; predictions
+        start once `past_frames` inputs exist."""
         p = self.config.past_frames
         inputs = _RolloutInputs(self.geometry.n, observed, horizon, teacher_values, teacher_prob, rng)
         if inputs.tau < p:
             raise ValueError(f"need at least {p} observed frames, got {inputs.tau}")
         with _recording(record):
-            operator = self.spatial_feature_tensors()
+            operator = operator if operator is not None else self.spatial_feature_tensors()
             placeholder = Tensor(np.zeros((self.geometry.n, inputs.batch)))
             history: list[Tensor] = []
             preds: list[Tensor] = []

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,41 @@ class TestSolve:
         detail = stderr_json(err)
         assert detail["error"] == "DivergenceError"
         assert detail["at_time"] == 2.0
+        assert not (tmp_path / "s.json").exists()
+
+    def test_divergence_emits_no_warning(self, tmp_path, capsys):
+        """The DivergenceError is the whole report: stderr holds one JSON line
+        and numpy's overflow warnings stay silent."""
+        config = self.solve_config(
+            sites=[0.0], dt=1.0, t_end=4.0, operator={"reaction": 1e200}, initial_values=[1.0]
+        )
+        save_json(config, tmp_path / "solve.json")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run(
+                capsys, "solve", "--config", str(tmp_path / "solve.json"), "--out", str(tmp_path / "s.json")
+            )
+        assert code == 4
+        assert caught == []
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dt", float("nan")),
+            ("dt", float("inf")),
+            ("t_end", float("nan")),
+            ("t_end", float("inf")),
+            ("initial_values", [1.0, float("nan"), 1.0]),
+        ],
+    )
+    def test_non_finite_number_is_usage_error(self, tmp_path, capsys, field, value):
+        save_json(self.solve_config(**{field: value}), tmp_path / "solve.json")
+        code, _, err = run(
+            capsys, "solve", "--config", str(tmp_path / "solve.json"), "--out", str(tmp_path / "s.json")
+        )
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert field in stderr_json(err)["message"]
         assert not (tmp_path / "s.json").exists()
 
     def test_missing_key_is_usage_error(self, tmp_path, capsys):
@@ -653,6 +689,10 @@ def train_config(**sections):
         ("gen-data", "dt_out", {**GEN_CONFIG, "dt_out": 1e30}),
         ("gen-data", "dt_out", {**GEN_CONFIG, "dt_out": 1e308, "t_end": 1e308, "substeps_per_output": None}),
         ("gen-data", "grid_size", {**GEN_CONFIG, "grid_size": 10**30}),
+        # Boundary indices that are not integers, and a NaN boundary value.
+        ("solve", "boundary", {**TestSolve().solve_config(), "boundary": {"indices": [1.5]}}),
+        ("solve", "boundary", {**TestSolve().solve_config(), "boundary": {"indices": [True]}}),
+        ("solve", "boundary", {**TestSolve().solve_config(), "boundary": {"indices": [0], "value": float("nan")}}),
     ],
     ids=lambda value: value if isinstance(value, str) else None,
 )

@@ -5,10 +5,10 @@ from numpy.testing import assert_allclose
 from umtn import evaluation
 from umtn.datagen import SequenceDataset
 from umtn.errors import ConfigError, DataError
-from umtn.evaluation import EvalReport, evaluate_model, mae, persistence_baseline
+from umtn.evaluation import EvalReport, evaluate_model, forecast, mae, persistence_baseline
 from umtn.interpolation import SiteSet
 from umtn.kernels import KernelFamily, RadialKernel
-from umtn.model import ModelConfig, UmtnModel
+from umtn.model import DrcConfig, DrcModel, ModelConfig, UmtnModel
 
 MQ = RadialKernel(KernelFamily.MULTIQUADRIC, 0.8)
 
@@ -167,6 +167,28 @@ class TestForecastBlocks:
         report = evaluate_model(model, ds)
         assert_allclose(report.per_step, abs_err.mean(axis=(0, 2)), rtol=0, atol=1e-11)
         assert_allclose(report.per_site, abs_err.mean(axis=(0, 1)), rtol=0, atol=1e-11)
+
+
+class TestDrcScoring:
+    """The DRC baseline is scored through the same forecast path as UMTN."""
+
+    @pytest.fixture
+    def case(self):
+        rng = np.random.default_rng(14)
+        ds = prenormalized_dataset(rng.normal(size=(6, 5, 4)), tau=2, seed=1)
+        config = DrcConfig(feature_width=3, s_hidden=(6,), aggregator_hidden=(5,))
+        return ds, DrcModel.build(config, MQ, ds.sites, seed=2)
+
+    def test_forecast_equals_rollout(self, case):
+        ds, drc = case
+        observed = ds.split_values("test")[:, :2]
+        expected = drc.rollout(observed, ds.horizon).predictions
+        assert np.array_equal(forecast(drc, observed, ds.horizon), expected)
+
+    def test_evaluate_model_scores_drc(self, case):
+        ds, drc = case
+        report = evaluate_model([drc], ds)
+        assert report.n_runs == 1 and np.isfinite(report.mae_mean)
 
 
 class TestPersistenceBaseline:
